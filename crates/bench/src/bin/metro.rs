@@ -75,8 +75,7 @@ fn build_network(kind: SchedulerKind, threads: usize) -> Network {
 
 /// Run every scheduler's deployment; aborts the bench if any run trips
 /// the hard invariants (no handovers, watchdog abort, audit violation).
-fn measure() -> Vec<MetroRow> {
-    let threads = outran_bench::configured_threads();
+fn measure(threads: usize) -> Vec<MetroRow> {
     KINDS
         .into_iter()
         .map(|kind| {
@@ -181,10 +180,11 @@ fn sim_json(rows: &[MetroRow]) -> String {
 }
 
 /// Assemble the full BENCH_6.json: layout + wall clocks (informational,
-/// machine-dependent) followed by the gated `"sim"` block, which is
+/// machine-dependent, so recorded with the worker threads used and the
+/// cores available) followed by the gated `"sim"` block, which is
 /// deliberately the final key so the gate can compare the raw tail of
 /// the file.
-fn metro_json(rows: &[MetroRow]) -> String {
+fn metro_json(rows: &[MetroRow], threads: usize) -> String {
     let mut json = String::from("{\n  \"schema\": \"outran-metro-v1\",\n");
     json.push_str(&format!(
         "  \"sites\": {SITES}, \"sectors\": {SECTORS}, \"cells\": {}, \
@@ -192,7 +192,10 @@ fn metro_json(rows: &[MetroRow]) -> String {
          \"secs\": {SECS}, \"seed\": {SEED},\n",
         SITES * SECTORS
     ));
-    json.push_str("  \"wall\": [\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&format!(
+        "  \"wall\": {{\"threads\": {threads}, \"cores\": {cores}, \"per_scheduler\": [\n"
+    ));
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"scheduler\": \"{}\", \"wall_secs\": {:.2}}}{}\n",
@@ -201,7 +204,7 @@ fn metro_json(rows: &[MetroRow]) -> String {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n");
+    json.push_str("  ]},\n");
     json.push_str("  \"sim\": ");
     json.push_str(&sim_json(rows));
     json.push_str("\n}\n");
@@ -293,12 +296,13 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let rows = measure();
+    let threads = outran_bench::configured_threads();
+    let rows = measure(threads);
     print_tables(&rows);
     if let Some(baseline) = baseline {
         check(&baseline, &rows);
     } else {
-        let json = metro_json(&rows);
+        let json = metro_json(&rows, threads);
         if let Err(e) = outran_simcore::snap::write_atomic(
             std::path::Path::new("BENCH_6.json"),
             json.as_bytes(),

@@ -16,75 +16,106 @@
 //! The paper solved this with SciPy's global optimizer; a deterministic
 //! log-grid coordinate descent reaches the same fixed point for these
 //! smooth single-basin objectives and keeps the build dependency-free.
+//!
+//! The expectations integrate over 600 midpoint-rule quantiles of the
+//! flow-size distribution. Those nodes and the mean size do not depend on
+//! the thresholds, so [`optimize_thresholds`] samples them once per
+//! optimisation and every candidate it evaluates reuses them.
 
 use outran_simcore::Empirical;
 
-/// Expected bytes a flow sends between cumulative sizes `lo` and `hi`:
-/// `E[min(S,hi) − min(S,lo)]`, computed by numerical integration over
-/// the quantile function.
-fn expected_bytes_between(cdf: &Empirical, lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo <= hi);
-    let n = 600;
-    let mut acc = 0.0;
-    for i in 0..n {
-        let p = (i as f64 + 0.5) / n as f64;
-        let s = cdf.quantile(p);
-        acc += (s.min(hi) - s.min(lo)).max(0.0);
+/// Quantile nodes of the midpoint rule that integrates over the
+/// flow-size distribution.
+const NODES: usize = 600;
+
+/// The threshold-independent inputs of the objective: the flow-size
+/// quantiles at the integration nodes and the mean size. Sampled once per
+/// optimisation, since every candidate threshold vector reads the same
+/// values.
+struct SizeSamples {
+    /// `cdf.quantile((i + 0.5) / NODES)` for `i` in `0..NODES`.
+    nodes: Vec<f64>,
+    mean: f64,
+}
+
+impl SizeSamples {
+    fn new(cdf: &Empirical) -> Self {
+        let nodes = (0..NODES)
+            .map(|i| cdf.quantile((i as f64 + 0.5) / NODES as f64))
+            .collect();
+        Self {
+            nodes,
+            mean: cdf.mean(),
+        }
     }
-    acc / n as f64
+
+    /// Expected bytes a flow sends between cumulative sizes `lo` and
+    /// `hi`: `E[min(S,hi) − min(S,lo)]`, computed by numerical
+    /// integration over the quantile function.
+    fn expected_bytes_between(&self, lo: f64, hi: f64) -> f64 {
+        debug_assert!(lo <= hi);
+        let mut acc = 0.0;
+        for &s in &self.nodes {
+            acc += (s.min(hi) - s.min(lo)).max(0.0);
+        }
+        acc / NODES as f64
+    }
+
+    /// The PIAS mean-delay objective (see [`objective`]).
+    fn objective(&self, thresholds: &[f64], load: f64) -> f64 {
+        let mean_size = self.mean;
+        // λ per unit capacity so that Σρ = load.
+        let lam = load / mean_size;
+        let mut bounds = Vec::with_capacity(thresholds.len() + 2);
+        bounds.push(0.0);
+        bounds.extend_from_slice(thresholds);
+        bounds.push(f64::INFINITY);
+        // Per-queue loads.
+        let k = bounds.len() - 1;
+        let mut rho = Vec::with_capacity(k);
+        for j in 0..k {
+            rho.push(lam * self.expected_bytes_between(bounds[j], bounds[j + 1]));
+        }
+        // Cumulative delay factor and per-queue waiting time. A flow being
+        // serviced in queue j progresses at 1/factor_j of the line rate
+        // (higher-priority work preempts it), and each queue it enters
+        // costs an M/G/1-style waiting term W_j = R·Σρ_{i≤j}/(1−Σρ_{i≤j})
+        // with the mean residual R of the flow-size distribution. The
+        // waiting term is what penalises a bloated P1: *every* flow starts
+        // in P1, and 90 % of flows are short, so their count dominates the
+        // mean FCT.
+        let mut cum = 0.0;
+        let mut delay_factor = Vec::with_capacity(k);
+        let mut wait = Vec::with_capacity(k);
+        let residual = mean_size / 2.0;
+        for &r in &rho {
+            cum = (cum + r).min(0.999);
+            delay_factor.push(1.0 / (1.0 - cum));
+            wait.push(residual * cum / (1.0 - cum));
+        }
+        // E_S[ Σ_{queues traversed} (W_j + bytes_j · factor_j) ] via quantiles.
+        let mut acc = 0.0;
+        for &s in &self.nodes {
+            for j in 0..k {
+                let lo = bounds[j];
+                let hi = bounds[j + 1];
+                if s <= lo && j > 0 {
+                    break; // flow finished before reaching this queue
+                }
+                let bytes = (s.min(hi) - s.min(lo)).max(0.0);
+                acc += wait[j] + bytes * delay_factor[j];
+                if s <= hi {
+                    break;
+                }
+            }
+        }
+        acc / NODES as f64
+    }
 }
 
 /// The PIAS mean-delay objective for a threshold vector (lower = better).
 pub fn objective(cdf: &Empirical, thresholds: &[f64], load: f64) -> f64 {
-    let mean_size = cdf.mean();
-    // λ per unit capacity so that Σρ = load.
-    let lam = load / mean_size;
-    let mut bounds = Vec::with_capacity(thresholds.len() + 2);
-    bounds.push(0.0);
-    bounds.extend_from_slice(thresholds);
-    bounds.push(f64::INFINITY);
-    // Per-queue loads.
-    let k = bounds.len() - 1;
-    let mut rho = Vec::with_capacity(k);
-    for j in 0..k {
-        rho.push(lam * expected_bytes_between(cdf, bounds[j], bounds[j + 1]));
-    }
-    // Cumulative delay factor and per-queue waiting time. A flow being
-    // serviced in queue j progresses at 1/factor_j of the line rate
-    // (higher-priority work preempts it), and each queue it enters costs
-    // an M/G/1-style waiting term W_j = R·Σρ_{i≤j}/(1−Σρ_{i≤j}) with the
-    // mean residual R of the flow-size distribution. The waiting term is
-    // what penalises a bloated P1: *every* flow starts in P1, and 90 %
-    // of flows are short, so their count dominates the mean FCT.
-    let mut cum = 0.0;
-    let mut delay_factor = Vec::with_capacity(k);
-    let mut wait = Vec::with_capacity(k);
-    let residual = mean_size / 2.0;
-    for &r in &rho {
-        cum = (cum + r).min(0.999);
-        delay_factor.push(1.0 / (1.0 - cum));
-        wait.push(residual * cum / (1.0 - cum));
-    }
-    // E_S[ Σ_{queues traversed} (W_j + bytes_j · factor_j) ] via quantiles.
-    let n = 600;
-    let mut acc = 0.0;
-    for i in 0..n {
-        let p = (i as f64 + 0.5) / n as f64;
-        let s = cdf.quantile(p);
-        for j in 0..k {
-            let lo = bounds[j];
-            let hi = bounds[j + 1];
-            if s <= lo && j > 0 {
-                break; // flow finished before reaching this queue
-            }
-            let bytes = (s.min(hi) - s.min(lo)).max(0.0);
-            acc += wait[j] + bytes * delay_factor[j];
-            if s <= hi {
-                break;
-            }
-        }
-    }
-    acc / n as f64
+    SizeSamples::new(cdf).objective(thresholds, load)
 }
 
 /// Optimize `k − 1` demotion thresholds for a flow-size CDF at a target
@@ -109,7 +140,8 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
     th.sort_by(|a, b| a.total_cmp(b));
     dedup_increasing(&mut th);
 
-    let mut best = objective(cdf, &th, load);
+    let samples = SizeSamples::new(cdf);
+    let mut best = samples.objective(&th, load);
     for _round in 0..8 {
         let mut improved = false;
         for idx in 0..th.len() {
@@ -126,7 +158,7 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
                 }
                 let mut cand = th.clone();
                 cand[idx] = g;
-                let v = objective(cdf, &cand, load);
+                let v = samples.objective(&cand, load);
                 if v < best - 1e-9 {
                     best = v;
                     best_here = g;
@@ -238,6 +270,67 @@ mod tests {
         let cdf = FlowSizeDist::LteCellular.cdf();
         let th = optimize_thresholds(&cdf, 2, 0.6);
         assert_eq!(th.len(), 1);
+    }
+
+    /// Thresholds and objective values pinned to the bit. Every simulated
+    /// report digest depends on them, so any change to the objective's
+    /// arithmetic or summation order must show here first.
+    #[test]
+    fn golden_thresholds_and_objective_bits() {
+        let table: [(FlowSizeDist, usize, f64, &[u64]); 6] = [
+            (
+                FlowSizeDist::LteCellular,
+                4,
+                0.6,
+                &[56104, 1305684, 4771501],
+            ),
+            (
+                FlowSizeDist::LteCellular,
+                4,
+                0.9,
+                &[170377, 2275335, 6909710],
+            ),
+            (
+                FlowSizeDist::LteCellular,
+                8,
+                0.6,
+                &[104, 125, 5056, 81246, 749257, 2275335, 5741923],
+            ),
+            (FlowSizeDist::LteCellular, 2, 0.6, &[1085015]),
+            (
+                FlowSizeDist::MirageMobileApp,
+                4,
+                0.3,
+                &[15282, 408315, 2110562],
+            ),
+            (
+                FlowSizeDist::Websearch,
+                6,
+                0.6,
+                &[59396, 634788, 3079953, 7944990, 14943746],
+            ),
+        ];
+        for (d, k, load, want) in table {
+            assert_eq!(
+                optimize_thresholds(&d.cdf(), k, load),
+                want,
+                "{d:?} K={k} load={load}"
+            );
+        }
+        let lte = FlowSizeDist::LteCellular.cdf();
+        let objectives: [(&[f64], f64, u64); 4] = [
+            (&[56104.0, 1305684.0, 4771501.0], 0.6, 0x40ff6a0a0f9c2e76),
+            (&[1_000.0, 31_623.0, 1_000_000.0], 0.6, 0x41014bcec2f1a2d6),
+            (&[10_000.0, 100_000.0, 1_000_000.0], 0.3, 0x40f737561aa3e467),
+            (&[1085015.0], 0.9, 0x4116952ea21c2f7d),
+        ];
+        for (th, load, bits) in objectives {
+            assert_eq!(
+                objective(&lte, th, load).to_bits(),
+                bits,
+                "{th:?} load={load}"
+            );
+        }
     }
 
     #[test]
