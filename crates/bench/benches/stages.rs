@@ -16,9 +16,9 @@
 //!   and RB assignment) on the plane-backed [`TtiRates`], the exact
 //!   in-pipeline configuration (the `schedulers` bench covers the
 //!   virtual-dispatch fallback via `FlatRates`).
-//! * `events/churn_*` — the ingress event core under a steady
-//!   schedule/pop churn at RTT-scale horizons, timer wheel vs the
-//!   legacy `BinaryHeap` backend (BENCH_5's event-core arm).
+//! * `events/churn_wheel` — the ingress event core (timer wheel) under
+//!   a steady schedule/pop churn at RTT-scale horizons (BENCH_5's
+//!   event-core arm).
 //! * `pool/vec_take_put` — the recycled-buffer pool's steady-state
 //!   take/put cycle (must be allocation-free and a few ns).
 //!
@@ -34,7 +34,7 @@ use outran_mac::{
 use outran_pdcp::Priority;
 use outran_phy::channel::CellChannel;
 use outran_phy::ChannelConfig;
-use outran_simcore::{Dur, EventBackend, EventQueue, Rng, Time, VecPool};
+use outran_simcore::{Dur, EventQueue, Rng, Time, VecPool};
 
 const USERS: usize = 16;
 
@@ -175,26 +175,20 @@ fn bench_events(c: &mut Criterion) {
     // pending ACK/arrival events, each pop followed by a reschedule at
     // an RTT-scale offset (25–55 ms, i.e. 24–53 ticks into the near
     // wheel with occasional slot wraps).
-    for backend in [EventBackend::Wheel, EventBackend::Heap] {
-        let name = match backend {
-            EventBackend::Wheel => "churn_wheel",
-            EventBackend::Heap => "churn_heap",
-        };
-        let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-        let mut rng = Rng::new(7);
-        let mut now = Time::ZERO;
-        for i in 0..256 {
-            q.schedule(now + Dur::from_micros(25_000 + rng.below(30_000)), i);
-        }
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let (t, e) = q.pop().unwrap();
-                now = now.max(t);
-                q.schedule(now + Dur::from_micros(25_000 + rng.below(30_000)), e);
-                e
-            })
-        });
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut rng = Rng::new(7);
+    let mut now = Time::ZERO;
+    for i in 0..256 {
+        q.schedule(now + Dur::from_micros(25_000 + rng.below(30_000)), i);
     }
+    g.bench_function("churn_wheel", |b| {
+        b.iter(|| {
+            let (t, e) = q.pop().unwrap();
+            now = now.max(t);
+            q.schedule(now + Dur::from_micros(25_000 + rng.below(30_000)), e);
+            e
+        })
+    });
     g.finish();
 }
 

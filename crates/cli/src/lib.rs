@@ -82,9 +82,6 @@ FLAGS (flag value  or  flag=value):
   --dense         force dense per-TTI stepping (disable the
                   event-driven idle-skip engine; identical
                   results, only slower on idle-heavy runs)       [off]
-  --event-heap    run the ingress event queue on the legacy
-                  BinaryHeap backend instead of the timer wheel
-                  (identical results; A/B timing + debugging)    [off]
   --loss X        residual post-HARQ segment loss prob          [0.002]
   --srjf-mode M   waterfall | winner-only | backlog             [waterfall]
   --reps N        run N seeds (seed..seed+N-1) and average; the
@@ -148,8 +145,6 @@ pub struct Opts {
     pub harq: bool,
     /// Force dense per-TTI stepping (disable idle-skip).
     pub dense: bool,
-    /// Legacy BinaryHeap event-queue backend (wheel is the default).
-    pub event_heap: bool,
     /// Residual loss.
     pub loss: f64,
     /// SRJF grant mode.
@@ -224,7 +219,6 @@ impl Default for Opts {
             reset: None,
             harq: false,
             dense: false,
-            event_heap: false,
             loss: 0.002,
             srjf_mode: SrjfMode::Waterfall,
             reps: 1,
@@ -342,7 +336,6 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
             }
             "--harq" => o.harq = true,
             "--dense" => o.dense = true,
-            "--event-heap" => o.event_heap = true,
             "--intensity" => o.intensity = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
             "--loss" => o.loss = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
             "--srjf-mode" => {
@@ -576,9 +569,6 @@ pub fn canonical_argv(o: &Opts) -> Vec<String> {
     if o.dense {
         v.push("--dense".into());
     }
-    if o.event_heap {
-        v.push("--event-heap".into());
-    }
     v.push(format!("--loss={}", o.loss));
     v.push(format!(
         "--srjf-mode={}",
@@ -805,8 +795,7 @@ fn build_experiment(o: &Opts) -> Experiment {
         .outran(outran_cfg)
         .residual_loss(o.loss)
         .srjf_mode(o.srjf_mode)
-        .dense_stepping(o.dense)
-        .event_heap(o.event_heap);
+        .dense_stepping(o.dense);
     if o.harq {
         exp = exp.harq(Some(HarqConfig::default()));
     }
@@ -1141,7 +1130,7 @@ mod tests {
         let o = parse(
             "--scheduler outran --scenario lte --users 8 --load 0.5 --secs 4 \
              --seed 9 --rlc am --buffer 256 --tf-ms 500 --cn-ms 20 \
-             --epsilon 0.3 --reset-ms 500 --harq --dense --event-heap --loss 0.01 \
+             --epsilon 0.3 --reset-ms 500 --harq --dense --loss 0.01 \
              --srjf-mode winner-only --cdf short",
         )
         .unwrap();
@@ -1153,7 +1142,6 @@ mod tests {
         assert_eq!(o.reset, Some(Dur::from_millis(500)));
         assert!(o.harq);
         assert!(o.dense);
-        assert!(o.event_heap);
         assert_eq!(o.srjf_mode, SrjfMode::WinnerOnly);
         assert_eq!(o.cdf, Some(CdfSel::Short));
     }
@@ -1231,8 +1219,7 @@ mod tests {
     fn canonical_argv_roundtrips() {
         for cmdline in [
             "",
-            "run --users 8 --load 0.5 --secs 4 --seed 9 --rlc am --harq --dense \
-             --event-heap",
+            "run --users 8 --load 0.5 --secs 4 --seed 9 --rlc am --harq --dense",
             "chaos --intensity 0.7 --scheduler outran:0.35 --scenario nr2 \
              --dist websearch --reset-ms 500 --cdf short --csv /tmp/x.csv",
             "--checkpoint-every 2 --checkpoint-dir /tmp/ck --secs 6",

@@ -186,11 +186,7 @@ impl Cell {
             now: Time::ZERO,
             tti,
             ues: UeContext::build_all(&cfg),
-            ingress: IngressStage::with_backend(if cfg.event_heap {
-                outran_simcore::EventBackend::Heap
-            } else {
-                outran_simcore::EventBackend::Wheel
-            }),
+            ingress: IngressStage::new(),
             rlc_down: RlcDownStage::new(&cfg),
             mac: MacSchedStage::new(&cfg, tti),
             phy: PhyTxStage::new(&cfg, &root),

@@ -41,7 +41,6 @@ pub struct Experiment {
     watchdog: Option<Dur>,
     max_flow_entries: Option<usize>,
     dense: bool,
-    event_heap: bool,
     /// Periodic checkpointing: every `0` of simulated time, write a
     /// crash-safe snapshot into `1` (see [`crate::checkpoint`]).
     checkpoint: Option<(Dur, PathBuf)>,
@@ -76,7 +75,6 @@ impl Experiment {
             watchdog: None,
             max_flow_entries: None,
             dense: false,
-            event_heap: false,
             checkpoint: None,
             checkpoint_argv: Vec::new(),
         }
@@ -211,15 +209,6 @@ impl Experiment {
         self
     }
 
-    /// Run the ingress event queue on the legacy `BinaryHeap` backend
-    /// instead of the timer wheel. Results are bit-identical either way
-    /// (asserted by the differential tests); the switch exists for A/B
-    /// timing and for debugging the wheel itself.
-    pub fn event_heap(mut self, heap: bool) -> Self {
-        self.event_heap = heap;
-        self
-    }
-
     /// Write a crash-safe checkpoint into `dir` every `every` of
     /// *simulated* time (rounded up to whole-second epoch boundaries).
     /// `argv` is embedded in the checkpoint metadata so
@@ -266,7 +255,6 @@ impl Experiment {
         cfg.faults = self.faults.clone();
         cfg.watchdog = self.watchdog;
         cfg.max_flow_entries = self.max_flow_entries;
-        cfg.event_heap = self.event_heap;
         let mut cell = Cell::new(cfg);
         let mut gen = PoissonFlowGen::new(
             self.dist,

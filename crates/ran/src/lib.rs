@@ -20,9 +20,11 @@
 //!   (Figures 12/21/22): object fetches over a loaded cell, ≤6
 //!   concurrent connections, HTML-first, render time.
 //! * [`multicell`] — the Colosseum-style multi-cell wrapper (Figure 19):
-//!   independent cells on separate carriers.
+//!   independent cells on separate carriers, run once to the horizon.
 //! * [`network`] — the coupled radio network: shared hex-grid geometry,
-//!   load-coupled interference and deterministic A3 handover.
+//!   load-coupled interference, deterministic A3 handover, and the
+//!   supervised epoch loop (wall-time watchdog, periodic and abort
+//!   checkpoints).
 //! * [`pool`] — a std-only scoped-thread worker pool for fanning
 //!   independent experiment cells across cores with bit-identical
 //!   results versus serial execution.
@@ -44,7 +46,7 @@ pub mod webplt;
 pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind, StepProfile};
 pub use checkpoint::CheckpointMeta;
 pub use experiment::{Experiment, ExperimentReport};
-pub use multicell::{MultiCell, MultiCellRun};
+pub use multicell::MultiCell;
 pub use network::{Network, NetworkReport, NetworkRun};
 pub use pool::{default_threads, parallel_map, parallel_map_eager, WorkerFailure};
 pub use qos::{AppKind, BearerKind, QosProfile, TrafficClass};

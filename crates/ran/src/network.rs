@@ -2,8 +2,9 @@
 //! interference and deterministic A3 handover over many cells.
 //!
 //! [`crate::multicell`] models cells as fully independent simulators on
-//! separate carriers. A [`Network`] lifts that worldview into one
-//! co-channel deployment:
+//! separate carriers, run straight to the horizon. A [`Network`] lifts
+//! that worldview into one co-channel deployment, advanced in 1 s epochs
+//! under a wall-time watchdog with periodic and abort checkpoints:
 //!
 //! * **Shared geometry** — sites sit on a hex grid
 //!   ([`outran_phy::geometry::hex_sites`]), each carrying
@@ -55,8 +56,8 @@ use crate::checkpoint::CheckpointMeta;
 use crate::pool::parallel_map_eager;
 
 /// Epoch length: the cadence of the barrier at which load is exchanged,
-/// mobility advances, A3 is evaluated and handovers execute. Matches the
-/// [`crate::multicell`] supervision epoch.
+/// mobility advances, A3 is evaluated and handovers execute. It is also
+/// the watchdog's and the checkpoints' granularity.
 const EPOCH: Dur = Dur(1_000_000_000);
 
 /// A coupled multi-cell deployment (builder + runner).
@@ -111,9 +112,13 @@ pub struct Network {
     /// Worker threads to shard cells across between barriers (1 =
     /// serial). The report is byte-identical for every value.
     pub threads: usize,
-    /// Wall-time watchdog per epoch (see [`crate::multicell::MultiCell`]):
-    /// exceeded ⇒ abort gracefully after the barrier, write a final
-    /// checkpoint when a directory is configured.
+    /// Wall-time watchdog: if one epoch (cell stepping plus barrier)
+    /// takes longer than this to compute, the run is presumed wedged
+    /// (livelock, thrashing) and aborts gracefully after the barrier,
+    /// writing a final `metro-abort-<t>s.orsn` checkpoint when
+    /// [`Network::checkpoint_dir`] is set. The wall clock only gates
+    /// whether the run continues, never any simulated quantity. `None`
+    /// disables the watchdog.
     pub epoch_wall_limit: Option<std::time::Duration>,
     /// Periodic checkpointing interval in *simulated* time (rounded up
     /// to whole epochs). `None` disables periodic checkpoints.
@@ -931,6 +936,30 @@ mod tests {
         let a = tiny().run();
         let b = tiny().run();
         assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+    }
+
+    #[test]
+    fn watchdog_abort_checkpoint_resumes_to_the_full_run() {
+        let dir = std::env::temp_dir().join(format!("outran-net-wd-{}", std::process::id()));
+        let mut net = tiny();
+        // A zero wall limit trips after the very first epoch.
+        net.epoch_wall_limit = Some(std::time::Duration::ZERO);
+        net.checkpoint_dir = Some(dir.clone());
+        let out = net.run();
+        assert_eq!(out.aborted_at, Some(Time::from_secs(1)));
+        let ckpt = out.checkpoint.expect("abort checkpoint should be written");
+        assert_eq!(ckpt, dir.join("metro-abort-1s.orsn"));
+        let (meta, file) = crate::checkpoint::read_checkpoint(&ckpt).unwrap();
+        assert_eq!(meta.n_cells, net.n_cells());
+        assert_eq!(meta.sim_time, Time::from_secs(1));
+        // The abort checkpoint resumes to exactly the uninterrupted run.
+        let resumed = tiny().resume(&file).unwrap();
+        assert!(resumed.aborted_at.is_none());
+        assert_eq!(
+            format!("{:?}", resumed.report),
+            format!("{:?}", tiny().run().report)
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

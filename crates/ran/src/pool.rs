@@ -70,7 +70,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one job under supervision: catch a panic, retry once on the
 /// cloned input, surface a second panic as [`WorkerFailure`].
-fn run_supervised<T, R, F>(index: usize, item: T, f: &F) -> Result<R, WorkerFailure>
+fn run_with_retry<T, R, F>(index: usize, item: T, f: &F) -> Result<R, WorkerFailure>
 where
     T: Clone,
     F: Fn(T) -> R,
@@ -130,10 +130,10 @@ where
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| run_supervised(i, item, &f))
+            .map(|(i, item)| run_with_retry(i, item, &f))
             .collect();
     }
-    pooled_map(workers, items, |i, item| run_supervised(i, item, &f))
+    pooled_map(workers, items, |i, item| run_with_retry(i, item, &f))
 }
 
 /// [`parallel_map`] without the jobs-per-worker heuristic or the

@@ -121,33 +121,6 @@ fn dense_and_event_driven_replay_chaos_identically() {
     }
 }
 
-/// The timer-wheel event core must be an exact drop-in for the legacy
-/// `BinaryHeap` backend end-to-end: same reports under chaos faults,
-/// in both stepping modes, UM and AM. (The per-operation ordering
-/// equivalence is pinned separately by the simcore differential
-/// proptest; this is the whole-simulator version.)
-#[test]
-fn heap_event_backend_is_bit_identical_to_wheel() {
-    for (rlc, dense) in [(RlcMode::Um, false), (RlcMode::Am, true)] {
-        let base = Experiment::lte_default()
-            .users(5)
-            .load(0.4)
-            .duration_secs(3)
-            .scheduler(SchedulerKind::OutRan)
-            .rlc_mode(rlc)
-            .faults(FaultPlan::chaos(17, Dur::from_secs(3), 5, 0.5))
-            .seed(17)
-            .dense_stepping(dense);
-        let wheel = base.clone().run();
-        let heap = base.event_heap(true).run();
-        assert_eq!(
-            format!("{wheel:?}"),
-            format!("{heap:?}"),
-            "event backends diverged (rlc={rlc:?}, dense={dense})"
-        );
-    }
-}
-
 /// AM mode exercises the poll-retransmit timer (the reason a
 /// non-quiescent AM entity pins dense ticks); GBR bearers generate work
 /// out of quiet forever. Both must agree across stepping modes.

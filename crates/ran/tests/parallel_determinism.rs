@@ -66,7 +66,7 @@ fn parallel_chaos_sweep_replays_fault_plans_identically() {
 }
 
 /// Intra-run multi-cell parallelism: sharding the cells of one
-/// `MultiCell` run across 4 workers (with the per-epoch barrier) must
+/// `MultiCell` run across 4 workers must
 /// merge to the same report as the serial loop, byte for byte.
 #[test]
 fn multicell_parallel_shards_match_serial() {

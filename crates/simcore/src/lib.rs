@@ -56,7 +56,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::{Empirical, Exponential, Normal, Poisson};
-pub use events::{EventBackend, EventQueue};
+pub use events::EventQueue;
 pub use pool::{BufPool, PoolStats, Slab, SlabHandle, VecPool};
 pub use rng::Rng;
 pub use snap::{fnv1a, write_atomic, SnapError, SnapReader, SnapWriter, SnapshotFile};
