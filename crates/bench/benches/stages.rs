@@ -1,5 +1,5 @@
 //! Per-stage microbenches of the dense-TTI hot path — the SoA kernels
-//! behind BENCH_4's end-to-end numbers, measured in isolation so a
+//! behind BENCH_2's `kernel` rows, measured in isolation so a
 //! regression points at the guilty stage, not just at the total.
 //!
 //! Stages covered:
@@ -17,8 +17,7 @@
 //!   in-pipeline configuration (the `schedulers` bench covers the
 //!   virtual-dispatch fallback via `FlatRates`).
 //! * `events/churn_wheel` — the ingress event core (timer wheel) under
-//!   a steady schedule/pop churn at RTT-scale horizons (BENCH_5's
-//!   event-core arm).
+//!   a steady schedule/pop churn at RTT-scale horizons.
 //! * `pool/vec_take_put` — the recycled-buffer pool's steady-state
 //!   take/put cycle (must be allocation-free and a few ns).
 //!
@@ -38,7 +37,7 @@ use outran_simcore::{Dur, EventQueue, Rng, Time, VecPool};
 
 const USERS: usize = 16;
 
-/// A warmed channel in the BENCH_2/BENCH_4 LTE setting.
+/// A warmed channel in the BENCH_2 LTE setting.
 fn warmed_channel() -> (CellChannel, Time) {
     let mut ch = CellChannel::new(ChannelConfig::lte_default(), USERS, &Rng::new(42));
     let tti = ch.config().radio.tti();

@@ -9,8 +9,8 @@
 //!     --check BENCH_6.json                                         # gate
 //! ```
 //!
-//! Unlike the wall-clock benches (BENCH_2–5), everything gated here is
-//! *simulated* and therefore bit-deterministic: the coupled network
+//! Unlike the wall-clock throughput bench (BENCH_2), everything gated
+//! here is *simulated* and therefore bit-deterministic: the coupled network
 //! replays byte-identically for any thread count and on any machine.
 //! `--check FILE` re-runs the deployment and fails (exit 1) unless the
 //! freshly produced `"sim"` block — FCT figures, completion counts, the
@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+use outran_bench::BaselineMode;
 use outran_phy::Scenario;
 use outran_ran::{Network, NetworkReport, SchedulerKind};
 use outran_simcore::Time;
@@ -284,18 +285,15 @@ fn check(baseline: &str, rows: &[MetroRow]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline_path: Option<String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    let mode = outran_bench::baseline_mode("metro", true, "[--threads N] [--check FILE]");
     // Fail on an unreadable baseline before spending time measuring.
-    let baseline = baseline_path.as_ref().map(|p| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
+    let baseline = match mode {
+        BaselineMode::Record => None,
+        BaselineMode::Check(p) => Some(std::fs::read_to_string(&p).unwrap_or_else(|e| {
             eprintln!("metro: cannot read baseline {p}: {e}");
             std::process::exit(2);
-        })
-    });
+        })),
+    };
     let threads = outran_bench::configured_threads();
     let rows = measure(threads);
     print_tables(&rows);

@@ -1,60 +1,47 @@
-//! Simulator throughput baseline — simulated TTIs per wall-clock second
-//! for each scheduler plus the parallel-sweep speedup (`BENCH_2.json`),
-//! the idle-heavy WebPLT scenario comparing dense vs event-driven
-//! stepping (`BENCH_3.json`), the dense busy-cell MAC *kernel*
-//! arms measuring the SoA scheduler hot path in isolation
-//! (`BENCH_4.json`), and the zero-allocation steady-state arm: the
-//! dense workload with explicit HARQ driving the pooled payload path,
-//! recording per-scheduler pool hit/miss deltas across a warmup
-//! boundary plus the per-cell resident footprint (`BENCH_5.json`).
+//! Simulator throughput baseline — one run, one file (`BENCH_2.json`,
+//! schema `outran-throughput-v2`) with five sections:
+//!
+//! * `per_scheduler` — simulated TTIs per wall-clock second of the
+//!   dense 16-UE LTE cell, per scheduler;
+//! * `idle_heavy` — the idle-heavy WebPLT hour stepped dense vs
+//!   event-driven;
+//! * `kernel` — the PF and OutRAN MAC scheduling kernels in isolation,
+//!   each with its speedup over the same run's `per_scheduler` row;
+//! * `pooled` — the dense workload with explicit HARQ driving the
+//!   pooled payload path, with per-scheduler pool hit/miss deltas across
+//!   a warmup boundary;
+//! * `mem` — the per-cell resident footprint (informational).
 //!
 //! ```console
-//! cargo run --release -p outran-bench --bin throughput            # measure
+//! cargo run --release -p outran-bench --bin throughput            # record
 //! cargo run --release -p outran-bench --bin throughput -- \
 //!     --check BENCH_2.json                                        # gate
-//! cargo run --release -p outran-bench --bin throughput -- \
-//!     --check BENCH_3.json                                        # gate
-//! cargo run --release -p outran-bench --bin throughput -- \
-//!     --check BENCH_4.json                                        # gate
-//! cargo run --release -p outran-bench --bin throughput -- \
-//!     --check BENCH_5.json                                        # gate
-//! cargo run --release -p outran-bench --bin throughput -- --profile
 //! ```
 //!
-//! `--check FILE` re-measures and fails (exit 1) if throughput dropped
-//! more than the tolerance (default 25%, override with
-//! `OUTRAN_PERF_TOLERANCE=0.25`) below the figures recorded in FILE —
-//! the file's schema decides which arm is re-measured. The BENCH_3 arm
-//! additionally fails whenever the event-driven run skips zero TTIs on
-//! the idle-heavy workload (the skip machinery silently disabled is a
-//! perf regression the tolerance would never catch). The BENCH_4 arm
-//! additionally enforces the SoA-kernel floor: the PF and OutRAN MAC
-//! scheduling kernels must each run at ≥ 5× the same run's end-to-end
-//! dense TTIs/s — a machine-independent ratio (both sides measured on
-//! the same box, same build), so the scheduling stage can never again
-//! bound dense throughput. Absolute TTIs/sec are machine-dependent:
-//! gate against a baseline produced on the same machine (CI measures,
-//! then self-checks). The BENCH_5 arm additionally enforces the
-//! zero-allocation invariant, which *is* machine-independent (the
-//! simulation is bit-identical, so pool traffic is too): after the
-//! warmup window the recycled-buffer pools must serve every take from
-//! pooled memory (steady-state misses == 0) and must actually be
-//! exercised (steady-state hits > 0 — a vacuously green gate over dead
-//! machinery is a failure, not a pass).
+//! Both modes measure every arm once and enforce the machine-independent
+//! invariants: the event-driven idle-heavy run skips TTIs, each kernel
+//! runs at ≥ 5× its own end-to-end arm measured in the same run (a NaN
+//! ratio fails), and after the warmup the pools serve every take from
+//! pooled memory (steady-state misses == 0) while actually being
+//! exercised (some scheduler has steady-state hits > 0). A run breaking
+//! one exits 1; record mode then writes nothing.
 //!
-//! `--profile` attributes active-TTI wall time to the pipeline stages
-//! per scheduler (via the `StageTimer` observer, `std::time::Instant`
-//! only), prints the shares, and writes them machine-readably to
-//! `PROFILE.json` (atomically: temp sibling + rename).
+//! `--check FILE` additionally compares every TTIs/s figure with the one
+//! recorded in FILE and exits 1 if any dropped more than 25 %. Absolute
+//! TTIs/s are machine-dependent: gate against a baseline recorded on the
+//! same machine (CI records, then self-checks). An unreadable FILE, or
+//! one with a section that gates no row (a wrong or old-schema file),
+//! exits 2 before anything is measured.
 
 #![forbid(unsafe_code)]
 
+use outran_bench::BaselineMode;
 use outran_mac::{OutRanScheduler, PfScheduler, Scheduler, TtiRates, UeTti};
 use outran_pdcp::Priority;
 use outran_phy::channel::CellChannel;
 use outran_ran::webplt::idle_heavy_arrivals;
 use outran_ran::{Cell, CellConfig, SchedulerKind};
-use outran_simcore::{Dur, Rng, Time};
+use outran_simcore::{Dur, PoolStats, Rng, Time};
 use std::time::Instant;
 
 /// Simulated horizon per measured run.
@@ -65,6 +52,10 @@ const USERS: usize = 16;
 const SIZES: [u64; 4] = [2_000, 8_000, 40_000, 200_000];
 /// Deterministic arrival spacing.
 const ARRIVAL_MS: u64 = 10;
+/// Largest tolerated drop of any TTIs/s figure below its baseline.
+const TOLERANCE: f64 = 0.25;
+/// Minimum speedup of each MAC kernel over its own end-to-end arm.
+const KERNEL_FLOOR: f64 = 5.0;
 
 const KINDS: [SchedulerKind; 5] = [
     SchedulerKind::Pf,
@@ -73,6 +64,27 @@ const KINDS: [SchedulerKind; 5] = [
     SchedulerKind::Srjf,
     SchedulerKind::OutRan,
 ];
+
+/// One timed arm: `ttis` stepped in `secs` of wall time.
+struct Row {
+    name: &'static str,
+    ttis: u64,
+    secs: f64,
+    tps: f64,
+}
+
+impl Row {
+    fn new(name: &'static str, ttis: u64, secs: f64) -> Row {
+        Row {
+            name,
+            ttis,
+            secs,
+            tps: ttis as f64 / secs,
+        }
+    }
+}
+
+// ---- dense end-to-end arm (`per_scheduler`) ----------------------------
 
 /// Build the measured cell: the paper's LTE setting under a fixed
 /// deterministic workload (sizes cycling short→long, one arrival every
@@ -84,8 +96,8 @@ fn build_cell(kind: SchedulerKind) -> Cell {
     cell
 }
 
-/// The deterministic BENCH_2 workload, reused verbatim by the BENCH_5
-/// pooled cell so the arms differ only in configuration.
+/// The deterministic dense workload, reused verbatim by the pooled
+/// cell so the two arms differ only in configuration.
 fn schedule_workload(cell: &mut Cell) {
     let horizon = Time::ZERO + Dur::from_secs(SIM_SECS);
     let mut at = Time::ZERO + Dur::from_millis(5);
@@ -109,16 +121,92 @@ fn run_timed(mut cell: Cell) -> (u64, f64) {
     (ttis, start.elapsed().as_secs_f64())
 }
 
-/// Pull `"ttis_per_sec": <x>` for one scheduler block out of a
-/// previously emitted BENCH_2.json (no serde in the offline build, and
-/// we emit the file ourselves, so a positional scan is exact).
-fn baseline_tps(json: &str, scheduler: &str) -> Option<f64> {
-    let tag = format!("\"scheduler\": \"{scheduler}\"");
-    let at = json.find(&tag)? + tag.len();
-    scan_f64(&json[at..], "ttis_per_sec")
+/// Measure every scheduler's dense arm (one warm-up run first).
+fn measure_e2e_rows() -> Vec<Row> {
+    let _ = run_timed(build_cell(SchedulerKind::Pf));
+    KINDS
+        .into_iter()
+        .map(|kind| {
+            let (ttis, secs) = run_timed(build_cell(kind));
+            let r = Row::new(kind.name(), ttis, secs);
+            eprintln!(
+                "  [throughput] e2e    {:<12} {ttis} TTIs in {secs:.3}s = {:.0} TTIs/s",
+                r.name, r.tps
+            );
+            r
+        })
+        .collect()
 }
 
-// ---- dense busy-cell MAC kernel arm (BENCH_4) --------------------------
+// ---- idle-heavy arm (`idle_heavy`) -------------------------------------
+
+/// Simulated horizon of the idle-heavy WebPLT arm: a UE pair loads one
+/// small page every 5 minutes over an hour — >99% of TTIs carry no
+/// work, the regime the event-driven stepper targets.
+const IDLE_SIM_SECS: u64 = 3600;
+
+struct IdleHeavy {
+    total_ttis: u64,
+    idle_ttis: u64,
+    skipped_ttis: u64,
+    completions: usize,
+    dense_secs: f64,
+    event_secs: f64,
+}
+
+impl IdleHeavy {
+    fn event_tps(&self) -> f64 {
+        self.total_ttis as f64 / self.event_secs
+    }
+}
+
+fn build_idle_heavy_cell() -> Cell {
+    let mut cfg = CellConfig::lte_default(2, SchedulerKind::OutRan, 42);
+    cfg.channel.radio = outran_phy::numerology::RadioConfig::lte_rbs(25);
+    cfg.channel.n_subbands = 4;
+    let mut cell = Cell::new(cfg);
+    let horizon = Time::from_secs(IDLE_SIM_SECS);
+    for (at, ue, bytes) in idle_heavy_arrivals(horizon, Dur::from_secs(300), 2, 42) {
+        cell.schedule_flow(at, ue, bytes, None);
+    }
+    cell
+}
+
+/// Measure the idle-heavy scenario dense and event-driven. The two runs
+/// are bit-identical in results (asserted by the `event_driven`
+/// integration tests); here only the clocks differ.
+fn run_idle_heavy() -> IdleHeavy {
+    let end = Time::from_secs(IDLE_SIM_SECS + 4);
+
+    let mut dense = build_idle_heavy_cell();
+    let t0 = Instant::now();
+    dense.run_until_dense(end);
+    let dense_secs = t0.elapsed().as_secs_f64();
+
+    let mut event = build_idle_heavy_cell();
+    let t1 = Instant::now();
+    event.run_until(end);
+    let event_secs = t1.elapsed().as_secs_f64();
+
+    let m = IdleHeavy {
+        total_ttis: end.0 / event.tti().as_nanos(),
+        idle_ttis: event.idle_ttis,
+        skipped_ttis: event.skipped_ttis,
+        completions: event.take_completions().len(),
+        dense_secs,
+        event_secs,
+    };
+    eprintln!(
+        "  [throughput] idle-heavy: dense {dense_secs:.3}s, event-driven {event_secs:.3}s \
+         ({:.1}x), skipped {}/{} idle TTIs",
+        dense_secs / event_secs,
+        m.skipped_ttis,
+        m.idle_ttis
+    );
+    m
+}
+
+// ---- dense busy-cell MAC kernel arm (`kernel`) -------------------------
 
 /// TTIs per measured kernel run — large enough that the sub-µs per-TTI
 /// kernel cost integrates to a stable wall-clock reading.
@@ -201,153 +289,37 @@ fn run_kernel_timed(kind: SchedulerKind) -> (u64, f64) {
     (KERNEL_TTIS, start.elapsed().as_secs_f64())
 }
 
-/// Assemble BENCH_4.json: the same-run end-to-end dense rows plus the
-/// kernel rows, each kernel row carrying its speedup over the matching
-/// end-to-end arm (both sides measured on this machine in this run, so
-/// the ratio is machine-independent).
-fn kernel_json(e2e: &[(&str, u64, f64, f64)], kernel: &[(&str, u64, f64, f64)]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"outran-kernel-v1\",\n");
-    json.push_str(&format!(
-        "  \"sim_secs\": {SIM_SECS},\n  \"users\": {USERS},\n  \
-         \"kernel_ttis\": {KERNEL_TTIS},\n"
-    ));
-    json.push_str("  \"per_scheduler\": [\n");
-    for (i, (name, ttis, secs, tps)) in e2e.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{name}\", \"ttis\": {ttis}, \
-             \"wall_secs\": {secs:.4}, \"ttis_per_sec\": {tps:.1}}}{}\n",
-            if i + 1 < e2e.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"kernel_per_scheduler\": [\n");
-    for (i, (name, ttis, secs, tps)) in kernel.iter().enumerate() {
-        let e2e_tps = e2e
-            .iter()
-            .find(|(n, _, _, _)| n == name)
-            .map(|(_, _, _, t)| *t)
-            .unwrap_or(f64::NAN);
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{name}\", \"ttis\": {ttis}, \
-             \"wall_secs\": {secs:.4}, \"ttis_per_sec\": {tps:.1}, \
-             \"e2e_ttis_per_sec\": {e2e_tps:.1}, \
-             \"kernel_speedup\": {:.2}}}{}\n",
-            tps / e2e_tps,
-            if i + 1 < kernel.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// Measure the kernel arms (with one warm-up run); returns rows.
-fn measure_kernel_rows() -> Vec<(&'static str, u64, f64, f64)> {
+/// Measure the kernel arms (with one warm-up run).
+fn measure_kernel_rows() -> Vec<Row> {
     let _ = run_kernel_timed(SchedulerKind::Pf);
     KERNEL_KINDS
         .into_iter()
         .map(|kind| {
             let (ttis, secs) = run_kernel_timed(kind);
-            let tps = ttis as f64 / secs;
+            let r = Row::new(kind.name(), ttis, secs);
             eprintln!(
-                "  [throughput] kernel {:<12} {ttis} TTIs in {secs:.3}s = {tps:.0} TTIs/s",
-                kind.name()
+                "  [throughput] kernel {:<12} {ttis} TTIs in {secs:.3}s = {:.0} TTIs/s",
+                r.name, r.tps
             );
-            (kind.name(), ttis, secs, tps)
+            r
         })
         .collect()
 }
 
-/// Re-measure and gate against a BENCH_4 baseline: end-to-end arms and
-/// kernel arms within tolerance of their recorded figures, and — the
-/// hard, machine-independent floor — each kernel arm at ≥ 5× its own
-/// end-to-end arm as measured in this very run.
-fn check_kernel(baseline: &str, tolerance: f64) {
-    // The two sections share the `"scheduler":` tag; split the baseline
-    // at the kernel array so each side parses against its own rows.
-    let Some(split) = baseline.find("\"kernel_per_scheduler\"") else {
-        eprintln!("throughput: baseline lacks kernel_per_scheduler — wrong file?");
-        std::process::exit(2);
-    };
-    let (base_e2e, base_kernel) = baseline.split_at(split);
-
-    let _ = run_timed(build_cell(SchedulerKind::Pf)); // warm-up
-    let mut failed = false;
-    let mut e2e_tps = Vec::new();
-    for kind in KINDS {
-        let (ttis, secs) = run_timed(build_cell(kind));
-        let tps = ttis as f64 / secs;
-        e2e_tps.push((kind.name(), tps));
-        let Some(base) = baseline_tps(base_e2e, kind.name()) else {
-            eprintln!(
-                "  [throughput] {}: no e2e baseline entry, skipping",
-                kind.name()
-            );
-            continue;
-        };
-        let floor = base * (1.0 - tolerance);
-        let verdict = if tps < floor { "REGRESSION" } else { "ok" };
-        failed |= tps < floor;
-        eprintln!(
-            "  [throughput] e2e {}: {tps:.0} vs baseline {base:.0} (floor {floor:.0}) — {verdict}",
-            kind.name()
-        );
-    }
-    let mut gated = 0usize;
-    for (name, ttis, secs, tps) in measure_kernel_rows() {
-        let _ = (ttis, secs);
-        if let Some(base) = baseline_tps(base_kernel, name) {
-            gated += 1;
-            let floor = base * (1.0 - tolerance);
-            let verdict = if tps < floor { "REGRESSION" } else { "ok" };
-            failed |= tps < floor;
-            eprintln!(
-                "  [throughput] kernel {name}: {tps:.0} vs baseline {base:.0} \
-                 (floor {floor:.0}) — {verdict}"
-            );
-        } else {
-            eprintln!("  [throughput] kernel {name}: no baseline entry, skipping");
-        }
-        let e2e = e2e_tps
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, t)| *t)
-            .unwrap_or(f64::NAN);
-        let speedup = tps / e2e;
-        // NaN (no matching e2e arm) must fail the floor, not pass it.
-        let meets_floor = speedup >= 5.0;
-        let verdict = if meets_floor { "ok" } else { "BELOW 5x FLOOR" };
-        failed |= !meets_floor;
-        eprintln!(
-            "  [throughput] kernel {name}: {speedup:.1}x its e2e arm ({tps:.0} vs {e2e:.0}) \
-             — {verdict} (floor 5.0x)"
-        );
-    }
-    if gated == 0 {
-        eprintln!("throughput: baseline has no usable kernel entries — wrong file?");
-        std::process::exit(2);
-    }
-    if failed {
-        eprintln!("throughput: kernel/e2e check failed");
-        std::process::exit(1);
-    }
-    println!(
-        "kernel throughput check passed (tolerance {:.0}%, kernel floor 5.0x e2e)",
-        tolerance * 100.0
-    );
-}
-
-// ---- zero-allocation steady-state arm (BENCH_5) ------------------------
+// ---- zero-allocation steady-state arm (`pooled`) -----------------------
 
 /// Warmup horizon before the steady-state window: long enough for the
 /// recycled-buffer pools to reach their high-water population under
 /// the HARQ workload (a pool only misses while it is still growing).
-const B5_WARMUP_SECS: u64 = 1;
+const POOL_WARMUP_SECS: u64 = 1;
+
+/// Residual loss of the pooled arm.
+const POOL_RESIDUAL_LOSS: f64 = 0.05;
 
 /// Cells built (and briefly warmed) for the resident-footprint sample.
-const B5_MEM_CELLS: usize = 32;
+const MEM_CELLS: usize = 32;
 
-/// Build the BENCH_5 cell: the BENCH_2 workload with explicit HARQ and
+/// Build the pooled cell: the dense workload with explicit HARQ and
 /// elevated residual loss, so failed transport blocks flow through the
 /// pooled payload path every few TTIs. (The folded-HARQ default never
 /// materializes payload buffers — it would leave the pools idle and
@@ -355,33 +327,30 @@ const B5_MEM_CELLS: usize = 32;
 fn build_pooled_cell(kind: SchedulerKind) -> Cell {
     let mut cfg = CellConfig::lte_default(USERS, kind, 42);
     cfg.harq = Some(outran_phy::harq::HarqConfig::default());
-    cfg.residual_loss = 0.05;
+    cfg.residual_loss = POOL_RESIDUAL_LOSS;
     let mut cell = Cell::new(cfg);
     schedule_workload(&mut cell);
     cell
 }
 
-/// One BENCH_5 measurement: steady-state throughput plus the pool
+/// One pooled measurement: steady-state throughput plus the pool
 /// counter deltas across the warmup boundary.
 struct PoolRow {
-    name: &'static str,
-    ttis: u64,
-    secs: f64,
-    tps: f64,
+    row: Row,
     /// Pool traffic during warmup (misses here are the pools filling).
-    warm: outran_simcore::PoolStats,
+    warm: PoolStats,
     /// Pool traffic after the warmup boundary — `misses` must be 0.
-    steady: outran_simcore::PoolStats,
+    steady: PoolStats,
     retained_bytes: usize,
 }
 
-/// Run the pooled cell: warmup to [`B5_WARMUP_SECS`], snapshot the pool
-/// counters, then time the remaining steady-state window and delta the
-/// counters. Pool traffic is deterministic (bit-identical simulation),
-/// so the steady-state miss count is a machine-independent invariant.
+/// Run the pooled cell: warmup to [`POOL_WARMUP_SECS`], snapshot the
+/// pool counters, then time the remaining steady-state window and delta
+/// the counters. Pool traffic is deterministic (bit-identical
+/// simulation), so the steady-state miss count is machine-independent.
 fn run_pooled(kind: SchedulerKind) -> PoolRow {
     let mut cell = build_pooled_cell(kind);
-    let warm_end = Time::ZERO + Dur::from_secs(B5_WARMUP_SECS);
+    let warm_end = Time::ZERO + Dur::from_secs(POOL_WARMUP_SECS);
     while cell.now() < warm_end {
         cell.step();
     }
@@ -394,14 +363,10 @@ fn run_pooled(kind: SchedulerKind) -> PoolRow {
         ttis += 1;
     }
     let secs = start.elapsed().as_secs_f64();
-    let steady = cell.pool_stats().since(&warm);
     PoolRow {
-        name: kind.name(),
-        ttis,
-        secs,
-        tps: ttis as f64 / secs,
+        row: Row::new(kind.name(), ttis, secs),
         warm,
-        steady,
+        steady: cell.pool_stats().since(&warm),
         retained_bytes: cell.pool_retained_bytes(),
     }
 }
@@ -412,47 +377,22 @@ fn measure_pool_rows() -> Vec<PoolRow> {
     KINDS
         .into_iter()
         .map(|kind| {
-            let r = run_pooled(kind);
+            let p = run_pooled(kind);
             eprintln!(
                 "  [throughput] pooled {:<12} {} TTIs in {:.3}s = {:.0} TTIs/s \
                  (steady pool: {} hits, {} misses, {} returns; warm misses {})",
-                r.name,
-                r.ttis,
-                r.secs,
-                r.tps,
-                r.steady.hits,
-                r.steady.misses,
-                r.steady.returns,
-                r.warm.misses
+                p.row.name,
+                p.row.ttis,
+                p.row.secs,
+                p.row.tps,
+                p.steady.hits,
+                p.steady.misses,
+                p.steady.returns,
+                p.warm.misses
             );
-            r
+            p
         })
         .collect()
-}
-
-/// Enforce the zero-allocation invariant over measured rows; returns
-/// false (after printing why) if any scheduler missed in steady state
-/// or the pools were never exercised at all.
-fn enforce_zero_alloc(rows: &[PoolRow]) -> bool {
-    let mut ok = true;
-    for r in rows {
-        if r.steady.misses > 0 {
-            eprintln!(
-                "throughput: {} allocated in steady state ({} pool misses after \
-                 the {B5_WARMUP_SECS}s warmup) — zero-allocation invariant broken",
-                r.name, r.steady.misses
-            );
-            ok = false;
-        }
-    }
-    if rows.iter().all(|r| r.steady.hits == 0) {
-        eprintln!(
-            "throughput: no scheduler recorded a steady-state pool hit — the pooled \
-             path is dead machinery and the zero-allocation gate is vacuous"
-        );
-        ok = false;
-    }
-    ok
 }
 
 /// Current resident set in bytes via `/proc/self/statm` (field 2 is
@@ -464,14 +404,14 @@ fn rss_bytes() -> Option<u64> {
     Some(pages * 4096)
 }
 
-/// Sample the per-cell resident footprint: build [`B5_MEM_CELLS`]
-/// pooled cells, warm each for 250 ms so channels and pools are
-/// populated, and attribute the RSS growth evenly. Informational only
-/// (RSS is noisy); never gated.
+/// Sample the per-cell resident footprint: build [`MEM_CELLS`] pooled
+/// cells, warm each for 250 ms so channels and pools are populated, and
+/// attribute the RSS growth evenly. Informational only (RSS is noisy);
+/// never gated.
 fn measure_mem() -> Option<(usize, u64)> {
     let before = rss_bytes()?;
     let warm_to = Time::ZERO + Dur::from_millis(250);
-    let cells: Vec<Cell> = (0..B5_MEM_CELLS)
+    let cells: Vec<Cell> = (0..MEM_CELLS)
         .map(|_| {
             let mut c = build_pooled_cell(SchedulerKind::OutRan);
             while c.now() < warm_to {
@@ -483,111 +423,196 @@ fn measure_mem() -> Option<(usize, u64)> {
     let after = rss_bytes()?;
     let per_cell = after.saturating_sub(before) / cells.len() as u64;
     drop(cells);
-    Some((B5_MEM_CELLS, per_cell))
+    Some((MEM_CELLS, per_cell))
 }
 
-/// Assemble BENCH_5.json. `prior_bench4` is the committed BENCH_4.json
-/// read before this run overwrote it; when present, each plain e2e row
-/// carries its informational speedup over the committed figure
-/// (cross-build, same workload — honest but machine-sensitive, so
-/// recorded, never gated).
-fn zero_alloc_json(
-    rows: &[PoolRow],
-    plain_e2e: &[(&str, u64, f64, f64)],
-    prior_bench4: Option<&str>,
+// ---- one measurement, its invariants and its baseline file -------------
+
+/// Every arm of one run.
+struct Measurement {
+    e2e: Vec<Row>,
+    idle: IdleHeavy,
+    kernel: Vec<Row>,
+    pooled: Vec<PoolRow>,
     mem: Option<(usize, u64)>,
-) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"outran-zeroalloc-v1\",\n");
-    json.push_str(&format!(
-        "  \"sim_secs\": {SIM_SECS},\n  \"warmup_secs\": {B5_WARMUP_SECS},\n  \
-         \"users\": {USERS},\n  \"harq\": true,\n  \"residual_loss\": 0.05,\n"
-    ));
-    json.push_str("  \"per_scheduler\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"ttis\": {}, \"wall_secs\": {:.4}, \
-             \"ttis_per_sec\": {:.1},\n     \"pool_warm_misses\": {}, \
-             \"pool_steady_hits\": {}, \"pool_steady_misses\": {}, \
-             \"pool_steady_returns\": {}, \"pool_high_water\": {}, \
-             \"pool_retained_bytes\": {}}}{}\n",
-            r.name,
-            r.ttis,
-            r.secs,
-            r.tps,
-            r.warm.misses,
-            r.steady.hits,
-            r.steady.misses,
-            r.steady.returns,
-            r.steady.high_water.max(r.warm.high_water),
-            r.retained_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"plain_e2e_vs_prior\": [\n");
-    for (i, (name, _, _, tps)) in plain_e2e.iter().enumerate() {
-        let prior = prior_bench4
-            .and_then(|b| baseline_tps(b, name))
-            .unwrap_or(f64::NAN);
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{name}\", \"ttis_per_sec\": {tps:.1}, \
-             \"prior_ttis_per_sec\": {prior:.1}, \"speedup\": {:.3}}}{}\n",
-            tps / prior,
-            if i + 1 < plain_e2e.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    let (cells, per_cell) = mem.unwrap_or((0, 0));
-    let cells_per_gb = (1u64 << 30).checked_div(per_cell).unwrap_or(0);
-    json.push_str(&format!(
-        "  \"mem\": {{\"cells_sampled\": {cells}, \"rss_bytes_per_cell\": {per_cell}, \
-         \"cells_per_gb\": {cells_per_gb}}}\n}}\n"
-    ));
-    json
 }
 
-/// Re-measure the pooled arms and gate against a BENCH_5 baseline:
-/// per-scheduler throughput within tolerance, and the hard
-/// machine-independent invariants — steady-state pool misses == 0,
-/// steady-state pool hits > 0 — re-verified on the fresh run.
-fn check_zero_alloc(baseline: &str, tolerance: f64) {
-    let rows = measure_pool_rows();
-    let mut failed = !enforce_zero_alloc(&rows);
-    let mut gated = 0usize;
-    for r in &rows {
-        let Some(base) = baseline_tps(baseline, r.name) else {
+/// Run every arm once.
+fn measure() -> Measurement {
+    Measurement {
+        e2e: measure_e2e_rows(),
+        idle: run_idle_heavy(),
+        kernel: measure_kernel_rows(),
+        pooled: measure_pool_rows(),
+        mem: measure_mem(),
+    }
+}
+
+impl Measurement {
+    /// A kernel row's speedup over this run's end-to-end arm of the same
+    /// scheduler (NaN when there is none).
+    fn kernel_speedup(&self, k: &Row) -> f64 {
+        let e2e = self.e2e.iter().find(|r| r.name == k.name);
+        k.tps / e2e.map_or(f64::NAN, |r| r.tps)
+    }
+
+    /// Fresh TTIs/s figures, in [`figure_keys`] order.
+    fn figures(&self) -> Vec<f64> {
+        let e2e = self.e2e.iter().map(|r| r.tps);
+        let kernel = self.kernel.iter().map(|r| r.tps);
+        let pooled = self.pooled.iter().map(|p| p.row.tps);
+        e2e.chain([self.idle.event_tps()])
+            .chain(kernel)
+            .chain(pooled)
+            .collect()
+    }
+
+    /// Enforce the machine-independent invariants; prints every broken
+    /// one and returns whether all hold.
+    fn invariants_hold(&self) -> bool {
+        let mut ok = true;
+        if self.idle.skipped_ttis == 0 {
+            eprintln!("throughput: idle-heavy run skipped zero TTIs — skip machinery is dead");
+            ok = false;
+        }
+        for k in &self.kernel {
+            let speedup = self.kernel_speedup(k);
+            // NaN (no matching e2e arm) must fail the floor, not pass it.
+            let meets = speedup >= KERNEL_FLOOR;
+            ok &= meets;
             eprintln!(
-                "  [throughput] pooled {}: no baseline entry, skipping",
-                r.name
+                "  [throughput] kernel {}: {speedup:.1}x its e2e arm — {} (floor {KERNEL_FLOOR:.1}x)",
+                k.name,
+                if meets { "ok" } else { "BELOW FLOOR" }
             );
-            continue;
+        }
+        for p in self.pooled.iter().filter(|p| p.steady.misses > 0) {
+            eprintln!(
+                "throughput: {} allocated in steady state ({} pool misses after the \
+                 {POOL_WARMUP_SECS}s warmup) — zero-allocation invariant broken",
+                p.row.name, p.steady.misses
+            );
+            ok = false;
+        }
+        if self.pooled.iter().all(|p| p.steady.hits == 0) {
+            eprintln!(
+                "throughput: no scheduler recorded a steady-state pool hit — the pooled \
+                 path is dead machinery and the zero-allocation gate is vacuous"
+            );
+            ok = false;
+        }
+        ok
+    }
+
+    /// The `BENCH_2.json` text.
+    fn to_json(&self, cores: usize) -> String {
+        let rows = |rows: Vec<String>, indent: &str| {
+            let sep = format!(",\n{indent}");
+            format!("{indent}{}\n", rows.join(&sep))
         };
-        gated += 1;
-        let floor = base * (1.0 - tolerance);
-        let verdict = if r.tps < floor { "REGRESSION" } else { "ok" };
-        failed |= r.tps < floor;
-        eprintln!(
-            "  [throughput] pooled {}: {:.0} vs baseline {base:.0} (floor {floor:.0}) — {verdict}",
-            r.name, r.tps
+        let row = |r: &Row| {
+            format!(
+                "{{\"scheduler\": \"{}\", \"ttis\": {}, \"wall_secs\": {:.4}, \
+                 \"ttis_per_sec\": {:.1}",
+                r.name, r.ttis, r.secs, r.tps
+            )
+        };
+        let m = &self.idle;
+        let mut json = format!(
+            "{{\n  \"schema\": \"outran-throughput-v2\",\n  \"threads\": 1,\n  \
+             \"cores\": {cores},\n  \"sim_secs\": {SIM_SECS},\n  \"users\": {USERS},\n"
         );
+        json.push_str("  \"per_scheduler\": [\n");
+        json += &rows(self.e2e.iter().map(|r| row(r) + "}").collect(), "    ");
+        json.push_str("  ],\n");
+        json += &format!(
+            "  \"idle_heavy\": {{\n    \"sim_secs\": {IDLE_SIM_SECS},\n    \
+             \"total_ttis\": {},\n    \"idle_ttis\": {},\n    \"skipped_ttis\": {},\n    \
+             \"completions\": {},\n    \"dense_secs\": {:.4},\n    \"event_secs\": {:.4},\n    \
+             \"ttis_per_sec_dense\": {:.1},\n    \"ttis_per_sec_eventdriven\": {:.1},\n    \
+             \"speedup\": {:.3}\n  }},\n",
+            m.total_ttis,
+            m.idle_ttis,
+            m.skipped_ttis,
+            m.completions,
+            m.dense_secs,
+            m.event_secs,
+            m.total_ttis as f64 / m.dense_secs,
+            m.event_tps(),
+            m.dense_secs / m.event_secs,
+        );
+        json += &format!("  \"kernel\": {{\n    \"ttis\": {KERNEL_TTIS},\n    \"rows\": [\n");
+        let kernel = self.kernel.iter().map(|k| {
+            format!(
+                "{}, \"kernel_speedup\": {:.2}}}",
+                row(k),
+                self.kernel_speedup(k)
+            )
+        });
+        json += &rows(kernel.collect(), "      ");
+        json.push_str("    ]\n  },\n");
+        json += &format!(
+            "  \"pooled\": {{\n    \"warmup_secs\": {POOL_WARMUP_SECS},\n    \"harq\": true,\n    \
+             \"residual_loss\": {POOL_RESIDUAL_LOSS},\n    \"rows\": [\n"
+        );
+        let pooled = self.pooled.iter().map(|p| {
+            format!(
+                "{},\n       \"pool_warm_misses\": {}, \"pool_steady_hits\": {}, \
+                 \"pool_steady_misses\": {}, \"pool_steady_returns\": {}, \
+                 \"pool_high_water\": {}, \"pool_retained_bytes\": {}}}",
+                row(&p.row),
+                p.warm.misses,
+                p.steady.hits,
+                p.steady.misses,
+                p.steady.returns,
+                p.steady.high_water.max(p.warm.high_water),
+                p.retained_bytes,
+            )
+        });
+        json += &rows(pooled.collect(), "      ");
+        json.push_str("    ]\n  },\n");
+        let (cells, per_cell) = self.mem.unwrap_or((0, 0));
+        let cells_per_gb = (1u64 << 30).checked_div(per_cell).unwrap_or(0);
+        json += &format!(
+            "  \"mem\": {{\"cells_sampled\": {cells}, \"rss_bytes_per_cell\": {per_cell}, \
+             \"cells_per_gb\": {cells_per_gb}}}\n}}\n"
+        );
+        json
     }
-    if gated == 0 {
-        eprintln!("throughput: baseline has no usable per-scheduler entries — wrong file?");
-        std::process::exit(2);
-    }
-    if failed {
-        eprintln!("throughput: zero-allocation check failed");
-        std::process::exit(1);
-    }
-    println!(
-        "zero-allocation steady-state check passed (tolerance {:.0}%, \
-         steady pool misses == 0)",
-        tolerance * 100.0
-    );
 }
 
-/// Scan `"key": <number>` out of self-emitted JSON.
+/// Where one gated TTIs/s figure lives in the baseline: its top-level
+/// section, its scheduler row (`None` for a section-level figure) and
+/// its key.
+type FigureKey = (&'static str, Option<&'static str>, &'static str);
+
+/// Every gated figure, in [`Measurement::figures`] order.
+fn figure_keys() -> Vec<FigureKey> {
+    let rows = |section, kinds: &[SchedulerKind]| -> Vec<FigureKey> {
+        kinds
+            .iter()
+            .map(|k| (section, Some(k.name()), "ttis_per_sec"))
+            .collect()
+    };
+    let mut keys = rows("per_scheduler", &KINDS);
+    keys.push(("idle_heavy", None, "ttis_per_sec_eventdriven"));
+    keys.extend(rows("kernel", &KERNEL_KINDS));
+    keys.extend(rows("pooled", &KINDS));
+    keys
+}
+
+/// The text of top-level `section` in a self-emitted baseline: from its
+/// key up to the next top-level key. Every section has a `PF` row, so a
+/// lookup must never read past its own section.
+fn section_text<'a>(json: &'a str, section: &str) -> Option<&'a str> {
+    let tag = format!("\n  \"{section}\": ");
+    let body = &json[json.find(&tag)? + tag.len()..];
+    Some(&body[..body.find("\n  \"").unwrap_or(body.len())])
+}
+
+/// Scan `"key": <number>` out of self-emitted JSON (no serde in the
+/// offline build, and we emit the file ourselves, so a positional scan
+/// is exact).
 fn scan_f64(json: &str, key: &str) -> Option<f64> {
     let tag = format!("\"{key}\": ");
     let v = &json[json.find(&tag)? + tag.len()..];
@@ -595,327 +620,100 @@ fn scan_f64(json: &str, key: &str) -> Option<f64> {
     v[..end].trim().parse().ok()
 }
 
-/// Simulated horizon of the idle-heavy WebPLT arm: a UE pair loads one
-/// small page every 5 minutes over an hour — >99% of TTIs carry no
-/// work, the regime the event-driven stepper targets.
-const IDLE_SIM_SECS: u64 = 3600;
-
-struct IdleHeavy {
-    total_ttis: u64,
-    idle_ttis: u64,
-    skipped_ttis: u64,
-    completions: usize,
-    dense_secs: f64,
-    event_secs: f64,
-}
-
-fn build_idle_heavy_cell() -> Cell {
-    let mut cfg = CellConfig::lte_default(2, SchedulerKind::OutRan, 42);
-    cfg.channel.radio = outran_phy::numerology::RadioConfig::lte_rbs(25);
-    cfg.channel.n_subbands = 4;
-    let mut cell = Cell::new(cfg);
-    let horizon = Time::from_secs(IDLE_SIM_SECS);
-    for (at, ue, bytes) in idle_heavy_arrivals(horizon, Dur::from_secs(300), 2, 42) {
-        cell.schedule_flow(at, ue, bytes, None);
+/// Look one figure up in a baseline.
+fn baseline_figure(json: &str, (section, scheduler, key): FigureKey) -> Option<f64> {
+    let mut text = section_text(json, section)?;
+    if let Some(s) = scheduler {
+        let tag = format!("\"scheduler\": \"{s}\"");
+        text = &text[text.find(&tag)? + tag.len()..];
     }
-    cell
+    scan_f64(text, key)
 }
 
-/// Measure the idle-heavy scenario dense and event-driven. The two runs
-/// are bit-identical in results (asserted by the `event_driven`
-/// integration tests); here only the clocks differ.
-fn run_idle_heavy() -> IdleHeavy {
-    let end = Time::from_secs(IDLE_SIM_SECS + 4);
-
-    let mut dense = build_idle_heavy_cell();
-    let t0 = Instant::now();
-    dense.run_until_dense(end);
-    let dense_secs = t0.elapsed().as_secs_f64();
-
-    let mut event = build_idle_heavy_cell();
-    let t1 = Instant::now();
-    event.run_until(end);
-    let event_secs = t1.elapsed().as_secs_f64();
-
-    let tti_ns = event.tti().as_nanos();
-    IdleHeavy {
-        total_ttis: end.0 / tti_ns,
-        idle_ttis: event.idle_ttis,
-        skipped_ttis: event.skipped_ttis,
-        completions: event.take_completions().len(),
-        dense_secs,
-        event_secs,
+/// Every figure's baseline value, or an error naming a section that
+/// gates no row (a wrong or old-schema file).
+fn read_baseline(json: &str) -> Result<Vec<Option<f64>>, String> {
+    let keys = figure_keys();
+    let base: Vec<Option<f64>> = keys.iter().map(|&k| baseline_figure(json, k)).collect();
+    let mut sections: Vec<&str> = keys.iter().map(|k| k.0).collect();
+    sections.dedup();
+    for section in sections {
+        let mut rows = keys.iter().zip(&base).filter(|(k, _)| k.0 == section);
+        if !rows.any(|(_, b)| b.is_some()) {
+            return Err(format!(
+                "baseline has no usable `{section}` entries — wrong file?"
+            ));
+        }
     }
+    Ok(base)
 }
 
-fn idle_heavy_json(m: &IdleHeavy) -> String {
-    let dense_tps = m.total_ttis as f64 / m.dense_secs;
-    let event_tps = m.total_ttis as f64 / m.event_secs;
-    format!(
-        "{{\n  \"schema\": \"outran-idleheavy-v1\",\n  \
-         \"sim_secs\": {IDLE_SIM_SECS},\n  \
-         \"total_ttis\": {},\n  \"idle_ttis\": {},\n  \
-         \"skipped_ttis\": {},\n  \"completions\": {},\n  \
-         \"dense_secs\": {:.4},\n  \"event_secs\": {:.4},\n  \
-         \"ttis_per_sec_dense\": {dense_tps:.1},\n  \
-         \"ttis_per_sec_eventdriven\": {event_tps:.1},\n  \
-         \"speedup\": {:.3}\n}}\n",
-        m.total_ttis,
-        m.idle_ttis,
-        m.skipped_ttis,
-        m.completions,
-        m.dense_secs,
-        m.event_secs,
-        m.dense_secs / m.event_secs,
-    )
-}
-
-/// `--profile`: per-stage wall-time attribution of the active pipeline
-/// (exclusive time per pipeline stage, via the `StageTimer` observer).
-/// Prints the shares and writes them machine-readably to PROFILE.json
-/// (atomic write, like the BENCH files).
-fn profile_mode() {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"outran-profile-v1\",\n");
-    json.push_str(&format!(
-        "  \"sim_secs\": {SIM_SECS},\n  \"users\": {USERS},\n"
-    ));
-    json.push_str("  \"per_scheduler\": [\n");
-    for (i, kind) in KINDS.into_iter().enumerate() {
-        let mut cell = build_cell(kind);
-        cell.enable_profiling();
-        let end = Time::ZERO + Dur::from_secs(SIM_SECS);
-        let t0 = Instant::now();
-        cell.run_until(end);
-        let wall = t0.elapsed().as_secs_f64();
-        let p = *cell.profile().expect("profiling enabled");
-        let total = p.total_ns().max(1) as f64;
-        let pct = |ns: u64| 100.0 * ns as f64 / total;
-        println!(
-            "[profile] {:<12} ingress {:5.1}%  rlc_down {:5.1}%  mac_sched {:5.1}%  \
-             phy_tx {:5.1}%  delivery {:5.1}%  housekeeping {:4.1}%  \
-             (attributed {:.3}s of {wall:.3}s wall)",
-            kind.name(),
-            pct(p.ingress_ns),
-            pct(p.rlc_down_ns),
-            pct(p.mac_sched_ns),
-            pct(p.phy_tx_ns),
-            pct(p.delivery_ns),
-            pct(p.housekeeping_ns),
-            total / 1e9,
+/// The tolerance loop: every fresh figure against its baseline value;
+/// prints each verdict and returns whether none regressed.
+fn within_tolerance(base: &[Option<f64>], fresh: &[f64]) -> bool {
+    let mut ok = true;
+    for (((section, scheduler, _), base), tps) in figure_keys().into_iter().zip(base).zip(fresh) {
+        let label = format!("{section} {}", scheduler.unwrap_or("event-driven"));
+        let Some(base) = base else {
+            eprintln!("  [throughput] {label}: no baseline entry, skipping");
+            continue;
+        };
+        let floor = base * (1.0 - TOLERANCE);
+        // NaN fails: only a figure at or above the floor passes.
+        let pass = *tps >= floor;
+        ok &= pass;
+        eprintln!(
+            "  [throughput] {label}: {tps:.0} vs baseline {base:.0} (floor {floor:.0}) — {}",
+            if pass { "ok" } else { "REGRESSION" }
         );
-        // Shares as fractions of attributed time; raw nanoseconds ride
-        // along so downstream tooling can re-derive anything.
-        let share = |ns: u64| ns as f64 / total;
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"wall_secs\": {wall:.4}, \
-             \"attributed_secs\": {:.4},\n     \"shares\": {{\
-             \"ingress\": {:.4}, \"rlc_down\": {:.4}, \"mac_sched\": {:.4}, \
-             \"phy_tx\": {:.4}, \"delivery\": {:.4}, \"housekeeping\": {:.4}}},\n     \
-             \"ns\": {{\"ingress\": {}, \"rlc_down\": {}, \"mac_sched\": {}, \
-             \"phy_tx\": {}, \"delivery\": {}, \"housekeeping\": {}}}}}{}\n",
-            kind.name(),
-            total / 1e9,
-            share(p.ingress_ns),
-            share(p.rlc_down_ns),
-            share(p.mac_sched_ns),
-            share(p.phy_tx_ns),
-            share(p.delivery_ns),
-            share(p.housekeeping_ns),
-            p.ingress_ns,
-            p.rlc_down_ns,
-            p.mac_sched_ns,
-            p.phy_tx_ns,
-            p.delivery_ns,
-            p.housekeeping_ns,
-            if i + 1 < KINDS.len() { "," } else { "" }
-        ));
     }
-    json.push_str("  ]\n}\n");
-    write_json("PROFILE.json", &json);
-    eprintln!("  [profile] wrote PROFILE.json");
+    ok
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--profile") {
-        profile_mode();
-        return;
-    }
-    let check: Option<String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
-    // Fail on an unreadable baseline *before* spending time measuring.
-    let baseline = check
-        .as_ref()
-        .map(|path| match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
+    let mode = outran_bench::baseline_mode("throughput", false, "[--check FILE]");
+    // Fail on an unusable baseline *before* spending time measuring.
+    let baseline = match &mode {
+        BaselineMode::Record => None,
+        BaselineMode::Check(path) => {
+            let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("throughput: cannot read baseline {path}: {e}");
                 std::process::exit(2);
+            });
+            Some(read_baseline(&json).unwrap_or_else(|e| {
+                eprintln!("throughput: {path}: {e}");
+                std::process::exit(2);
+            }))
+        }
+    };
+
+    let m = measure();
+    let invariants = m.invariants_hold();
+    match baseline {
+        None => {
+            // A baseline that fails its own invariants must never land.
+            if !invariants {
+                eprintln!("throughput: invariant broken — BENCH_2.json not written");
+                std::process::exit(1);
             }
-        });
-    let tolerance: f64 = std::env::var("OUTRAN_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25);
-
-    // The baseline's schema picks the arm to re-measure and gate.
-    if let Some(baseline) = &baseline {
-        if baseline.contains("outran-idleheavy") {
-            check_idle_heavy(baseline, tolerance);
-            return;
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let json = m.to_json(cores);
+            write_json("BENCH_2.json", &json);
+            println!("{json}");
+            eprintln!("  [throughput] wrote BENCH_2.json");
         }
-        if baseline.contains("outran-kernel") {
-            check_kernel(baseline, tolerance);
-            return;
-        }
-        if baseline.contains("outran-zeroalloc") {
-            check_zero_alloc(baseline, tolerance);
-            return;
-        }
-    }
-    let threads = outran_bench::configured_threads();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Capture the committed BENCH_4 figures before this run overwrites
-    // the file: BENCH_5 records the (informational) e2e speedup of this
-    // build over the previously recorded one.
-    let prior_bench4 = std::fs::read_to_string("BENCH_4.json").ok();
-
-    // Warm up caches / page in the binary before timing.
-    let _ = run_timed(build_cell(SchedulerKind::Pf));
-
-    let mut rows = Vec::new();
-    for kind in KINDS {
-        let (ttis, secs) = run_timed(build_cell(kind));
-        let tps = ttis as f64 / secs;
-        eprintln!(
-            "  [throughput] {:<12} {ttis} TTIs in {secs:.3}s = {tps:.0} TTIs/s",
-            kind.name()
-        );
-        rows.push((kind.name(), ttis, secs, tps));
-    }
-
-    // Parallel-sweep wall clock: the same independent jobs serial vs
-    // fanned across the pool (speedup ≈ min(threads, cores) on idle
-    // multi-core machines, ≈ 1 on a single-core box).
-    let jobs: Vec<SchedulerKind> = KINDS.into_iter().chain(KINDS.into_iter().take(3)).collect();
-    let t0 = Instant::now();
-    let _ = outran_ran::parallel_map(1, jobs.clone(), |k| run_timed(build_cell(k)).0);
-    let serial_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let _ = outran_ran::parallel_map(threads, jobs.clone(), |k| run_timed(build_cell(k)).0);
-    let parallel_secs = t1.elapsed().as_secs_f64();
-    let speedup = serial_secs / parallel_secs;
-    eprintln!(
-        "  [throughput] sweep of {} jobs: serial {serial_secs:.2}s, \
-         {threads} thread(s) {parallel_secs:.2}s, speedup {speedup:.2}x",
-        jobs.len()
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"outran-throughput-v1\",\n");
-    json.push_str(&format!(
-        "  \"threads\": {threads},\n  \"cores\": {cores},\n"
-    ));
-    json.push_str(&format!(
-        "  \"sim_secs\": {SIM_SECS},\n  \"users\": {USERS},\n"
-    ));
-    json.push_str("  \"per_scheduler\": [\n");
-    for (i, (name, ttis, secs, tps)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{name}\", \"ttis\": {ttis}, \
-             \"wall_secs\": {secs:.4}, \"ttis_per_sec\": {tps:.1}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sweep\": {{\"jobs\": {}, \"serial_secs\": {serial_secs:.3}, \
-         \"parallel_secs\": {parallel_secs:.3}, \"speedup\": {speedup:.3}}}\n}}\n",
-        jobs.len()
-    ));
-
-    if let Some(baseline) = baseline {
-        let mut failed = false;
-        let mut gated = 0usize;
-        for (name, _, _, tps) in &rows {
-            let Some(base) = baseline_tps(&baseline, name) else {
-                eprintln!("  [throughput] {name}: no baseline entry, skipping");
-                continue;
-            };
-            gated += 1;
-            let floor = base * (1.0 - tolerance);
-            let verdict = if *tps < floor { "REGRESSION" } else { "ok" };
-            if *tps < floor {
-                failed = true;
+        Some(base) => {
+            let tolerated = within_tolerance(&base, &m.figures());
+            if !(invariants && tolerated) {
+                eprintln!("throughput: check failed");
+                std::process::exit(1);
             }
-            eprintln!(
-                "  [throughput] {name}: {tps:.0} vs baseline {base:.0} \
-                 (floor {floor:.0}) — {verdict}"
+            println!(
+                "throughput check passed (tolerance {:.0}%, kernel floor {KERNEL_FLOOR:.1}x e2e, \
+                 steady pool misses == 0)",
+                TOLERANCE * 100.0
             );
         }
-        // A baseline that gates *nothing* is an unparseable baseline, not
-        // a pass — fail loudly instead of green-lighting by accident.
-        if gated == 0 {
-            eprintln!("throughput: baseline has no usable per-scheduler entries — wrong file?");
-            std::process::exit(2);
-        }
-        if failed {
-            eprintln!("throughput: regression beyond {:.0}%", tolerance * 100.0);
-            std::process::exit(1);
-        }
-        println!(
-            "throughput check passed (tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-    } else {
-        write_json("BENCH_2.json", &json);
-        println!("{json}");
-        eprintln!("  [throughput] wrote BENCH_2.json");
-
-        // Idle-heavy WebPLT arm: dense vs event-driven stepping.
-        let m = run_idle_heavy();
-        eprintln!(
-            "  [throughput] idle-heavy: dense {:.2}s, event-driven {:.2}s \
-             ({:.1}x), skipped {}/{} idle TTIs",
-            m.dense_secs,
-            m.event_secs,
-            m.dense_secs / m.event_secs,
-            m.skipped_ttis,
-            m.idle_ttis
-        );
-        if m.skipped_ttis == 0 {
-            eprintln!("throughput: idle-heavy run skipped zero TTIs — skip machinery is dead");
-            std::process::exit(1);
-        }
-        let json3 = idle_heavy_json(&m);
-        write_json("BENCH_3.json", &json3);
-        println!("{json3}");
-        eprintln!("  [throughput] wrote BENCH_3.json");
-
-        // Dense busy-cell MAC kernel arms, gated at ≥5× the end-to-end
-        // rows measured above (same machine, same build).
-        let kernel_rows = measure_kernel_rows();
-        let json4 = kernel_json(&rows, &kernel_rows);
-        write_json("BENCH_4.json", &json4);
-        println!("{json4}");
-        eprintln!("  [throughput] wrote BENCH_4.json");
-
-        // Zero-allocation steady-state arm: pooled HARQ workload with
-        // the machine-independent miss gate enforced at record time too
-        // (a baseline that fails its own invariant must never land).
-        let pool_rows = measure_pool_rows();
-        if !enforce_zero_alloc(&pool_rows) {
-            std::process::exit(1);
-        }
-        let mem = measure_mem();
-        let json5 = zero_alloc_json(&pool_rows, &rows, prior_bench4.as_deref(), mem);
-        write_json("BENCH_5.json", &json5);
-        println!("{json5}");
-        eprintln!("  [throughput] wrote BENCH_5.json");
     }
 }
 
@@ -929,33 +727,127 @@ fn write_json(path: &str, json: &str) {
     }
 }
 
-/// Re-measure the idle-heavy arm and gate it against a BENCH_3 baseline.
-fn check_idle_heavy(baseline: &str, tolerance: f64) {
-    let m = run_idle_heavy();
-    let event_tps = m.total_ttis as f64 / m.event_secs;
-    if m.skipped_ttis == 0 {
-        eprintln!("throughput: idle-heavy run skipped zero TTIs — skip machinery is dead");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A measurement with distinct, recognisable figures per section.
+    fn synthetic() -> Measurement {
+        let rows = |kinds: &[SchedulerKind], tps: f64| -> Vec<Row> {
+            kinds
+                .iter()
+                .map(|k| Row::new(k.name(), 1000, 1000.0 / tps))
+                .collect()
+        };
+        Measurement {
+            e2e: rows(&KINDS, 50_000.0),
+            idle: IdleHeavy {
+                total_ttis: 3_604_000,
+                idle_ttis: 3_596_737,
+                skipped_ttis: 3_596_736,
+                completions: 420,
+                dense_secs: 0.05,
+                event_secs: 0.02,
+            },
+            kernel: rows(&KERNEL_KINDS, 1_000_000.0),
+            pooled: rows(&KINDS, 40_000.0)
+                .into_iter()
+                .map(|row| PoolRow {
+                    row,
+                    warm: PoolStats::default(),
+                    steady: PoolStats::default(),
+                    retained_bytes: 0,
+                })
+                .collect(),
+            mem: None,
+        }
     }
-    let Some(base) = scan_f64(baseline, "ttis_per_sec_eventdriven") else {
-        eprintln!("throughput: baseline lacks ttis_per_sec_eventdriven");
-        std::process::exit(2);
-    };
-    let floor = base * (1.0 - tolerance);
-    eprintln!(
-        "  [throughput] idle-heavy event-driven: {event_tps:.0} vs baseline {base:.0} \
-         (floor {floor:.0}), skipped {}/{} idle TTIs",
-        m.skipped_ttis, m.idle_ttis
-    );
-    if event_tps < floor {
-        eprintln!(
-            "throughput: idle-heavy regression beyond {:.0}%",
-            tolerance * 100.0
+
+    #[test]
+    fn lookups_stay_inside_their_section() {
+        let json = synthetic().to_json(2);
+        let pf = |section| baseline_figure(&json, (section, Some("PF"), "ttis_per_sec"));
+        assert_eq!(pf("per_scheduler"), Some(50_000.0));
+        assert_eq!(pf("kernel"), Some(1_000_000.0));
+        assert_eq!(pf("pooled"), Some(40_000.0));
+        let idle = ("idle_heavy", None, "ttis_per_sec_eventdriven");
+        assert_eq!(baseline_figure(&json, idle), Some(180_200_000.0));
+        assert_eq!(
+            baseline_figure(&json, ("kernel", Some("RR"), "ttis_per_sec")),
+            None
         );
-        std::process::exit(1);
+        assert_eq!(section_text(&json, "sweep"), None);
+        assert_eq!(pf("sweep"), None);
     }
-    println!(
-        "idle-heavy throughput check passed (tolerance {:.0}%)",
-        tolerance * 100.0
-    );
+
+    #[test]
+    fn own_output_round_trips_through_the_gate() {
+        let m = synthetic();
+        let base = read_baseline(&m.to_json(2)).expect("v2 baseline is usable");
+        assert!(base.iter().all(Option::is_some));
+        assert!(within_tolerance(&base, &m.figures()));
+        let mut slow = m.figures();
+        slow[KINDS.len() + 1] *= 0.5; // the kernel PF row
+        assert!(!within_tolerance(&base, &slow));
+        slow[KINDS.len() + 1] = f64::NAN;
+        assert!(!within_tolerance(&base, &slow));
+    }
+
+    #[test]
+    fn old_schema_baselines_are_rejected() {
+        // A v1 idle-heavy file: the same figures, flat, with no sections.
+        let bench3_v1 = r#"{
+  "sim_secs": 3600,
+  "total_ttis": 3604000,
+  "idle_ttis": 3596737,
+  "skipped_ttis": 3596736,
+  "ttis_per_sec_eventdriven": 201467796.9,
+  "speedup": 2.907
+}
+"#;
+        assert_eq!(section_text(bench3_v1, "per_scheduler"), None);
+        let err = read_baseline(bench3_v1).unwrap_err();
+        assert!(err.contains("`per_scheduler`"), "{err}");
+
+        let bench2_v1 = r#"{
+  "schema": "outran-throughput-v1",
+  "per_scheduler": [
+    {"scheduler": "PF", "ttis": 5000, "wall_secs": 0.0942, "ttis_per_sec": 53066.7}
+  ],
+  "sweep": {"jobs": 8, "serial_secs": 0.973, "parallel_secs": 0.875, "speedup": 1.113}
+}
+"#;
+        let err = read_baseline(bench2_v1).unwrap_err();
+        assert!(err.contains("`idle_heavy`"), "{err}");
+    }
+
+    #[test]
+    fn invariants_catch_each_broken_gate() {
+        let mut m = synthetic();
+        m.pooled[0].steady.hits = 1;
+        assert!(m.invariants_hold());
+
+        let mut dead_skip = synthetic();
+        dead_skip.pooled[0].steady.hits = 1;
+        dead_skip.idle.skipped_ttis = 0;
+        assert!(!dead_skip.invariants_hold());
+
+        let mut slow_kernel = synthetic();
+        slow_kernel.pooled[0].steady.hits = 1;
+        slow_kernel.kernel[1] = Row::new("OutRAN", 1000, 1000.0 / 200_000.0);
+        assert!(!slow_kernel.invariants_hold());
+
+        let mut no_e2e = synthetic();
+        no_e2e.pooled[0].steady.hits = 1;
+        no_e2e.e2e.retain(|r| r.name != "PF");
+        assert!(!no_e2e.invariants_hold());
+
+        let mut missed = synthetic();
+        missed.pooled[0].steady.hits = 1;
+        missed.pooled[2].steady.misses = 1;
+        assert!(!missed.invariants_hold());
+
+        // No steady hit anywhere: the pooled path was never exercised.
+        assert!(!synthetic().invariants_hold());
+    }
 }

@@ -84,6 +84,55 @@ pub fn threads_from_args(args: &[String]) -> Option<usize> {
     None
 }
 
+/// What a baseline bench binary (`throughput`, `metro`) was asked to do.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BaselineMode {
+    /// Measure and (re)write the committed baseline file.
+    Record,
+    /// Measure and gate against the baseline file at this path.
+    Check(String),
+}
+
+/// Parse a baseline bench's command line (program name first).
+/// `--check FILE` selects [`BaselineMode::Check`]; when `threads` is
+/// set, `--threads N` / `--threads=N` (N ≥ 1) is accepted too and left
+/// for [`configured_threads`] to read. Anything else — an unknown
+/// argument, or a flag without a valid value — is an error, so a typo
+/// can never fall through to record mode and overwrite a baseline.
+pub fn baseline_mode_from_args(args: &[String], threads: bool) -> Result<BaselineMode, String> {
+    let mut mode = BaselineMode::Record;
+    let mut it = args.iter().skip(1);
+    while let Some(a) = it.next() {
+        if a == "--check" {
+            let path = it.next().ok_or("--check needs a baseline FILE")?;
+            mode = BaselineMode::Check(path.clone());
+            continue;
+        }
+        let count = match a.strip_prefix("--threads=") {
+            Some(v) => Some(v),
+            None if a == "--threads" => Some(it.next().map_or("", String::as_str)),
+            None => None,
+        };
+        match count.filter(|_| threads) {
+            Some(v) if v.parse::<usize>().is_ok_and(|n| n >= 1) => {}
+            Some(v) => return Err(format!("--threads needs N >= 1, got {v:?}")),
+            None => return Err(format!("unknown argument {a:?}")),
+        }
+    }
+    Ok(mode)
+}
+
+/// [`baseline_mode_from_args`] over this process's arguments; prints
+/// the error with `usage` and exits 2 (before anything is measured or
+/// written) when they do not parse.
+pub fn baseline_mode(bin: &str, threads: bool, usage: &str) -> BaselineMode {
+    let args: Vec<String> = std::env::args().collect();
+    baseline_mode_from_args(&args, threads).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\nusage: {bin} {usage}");
+        std::process::exit(2);
+    })
+}
+
 /// Run `build(seed)` for every seed — fanned across the worker pool —
 /// and average the scalar metrics. Results are ordered by seed, so the
 /// output is identical to the serial loop it replaced.
@@ -266,6 +315,33 @@ mod tests {
         assert_eq!(threads_from_args(&a(&["bin", "--threads=0"])), None);
         assert_eq!(threads_from_args(&a(&["bin", "--threads"])), None);
         assert_eq!(threads_from_args(&a(&["bin"])), None);
+    }
+
+    #[test]
+    fn baseline_mode_parsing() {
+        let a = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let check = |f: &str| Ok(BaselineMode::Check(f.to_string()));
+        let parse = |v: &[&str], threads| baseline_mode_from_args(&a(v), threads);
+        assert_eq!(parse(&["bin"], false), Ok(BaselineMode::Record));
+        assert_eq!(parse(&["bin", "--check", "B.json"], false), check("B.json"));
+        // A path-less check or a typo must not fall through to recording.
+        assert!(parse(&["bin", "--check"], false).is_err());
+        assert!(parse(&["bin", "--chek", "B.json"], false).is_err());
+        assert!(parse(&["bin", "B.json"], false).is_err());
+        // `--threads` only where the binary accepts it, and only valid.
+        assert!(parse(&["bin", "--threads", "2"], false).is_err());
+        assert!(parse(&["bin", "--threads=2"], false).is_err());
+        assert_eq!(
+            parse(&["bin", "--threads", "2", "--check", "B.json"], true),
+            check("B.json")
+        );
+        assert_eq!(
+            parse(&["bin", "--threads=3"], true),
+            Ok(BaselineMode::Record)
+        );
+        assert!(parse(&["bin", "--threads"], true).is_err());
+        assert!(parse(&["bin", "--threads=0"], true).is_err());
+        assert!(parse(&["bin", "--threads", "x"], true).is_err());
     }
 
     #[test]

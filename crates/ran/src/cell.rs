@@ -24,7 +24,6 @@
 //! ⇒ identical runs.
 
 pub use crate::config::{CellConfig, FlowDone, GbrBearer, RlcMode, SchedulerKind};
-pub use crate::stages::StepProfile;
 
 use crate::stages::{
     DeliveryStage, HousekeepingStage, IngressStage, MacSchedStage, ObserverHost, PhyTxStage,
@@ -52,8 +51,8 @@ use crate::stages::HarqData;
 /// simultaneously in flight (held by HARQ) than the arena was sized
 /// for; buffer *capacity* still grows organically during warmup. In
 /// steady state these paths perform zero heap allocations — `misses`
-/// never advances, which the bench harness enforces (see
-/// `BENCH_5.json`).
+/// never advances, which the bench harness enforces (the `pooled`
+/// section of `BENCH_2.json`).
 pub struct CellPools {
     /// UM HARQ transport-block payloads (`Vec<RlcSegment>`).
     pub segs: VecPool<RlcSegment>,
@@ -70,8 +69,9 @@ impl Default for CellPools {
 impl CellPools {
     /// Buffers pre-populated per pool at construction. Bounds the
     /// number of payloads simultaneously held by HARQ across all UEs;
-    /// the BENCH_5 miss gate is the audit that this is sized right
-    /// (observed peaks are ~50 under 16 UEs at 5% residual loss).
+    /// the throughput bench's steady-state miss gate is the audit that
+    /// this is sized right (observed peaks are ~50 under 16 UEs at 5%
+    /// residual loss).
     pub const PREWARM: usize = 256;
 
     /// Fresh pools, each pre-populated with [`CellPools::PREWARM`]
@@ -371,22 +371,9 @@ impl Cell {
         self.hk.idle_reset_catch_up(self.now, &mut self.ues);
     }
 
-    /// Start attributing active-TTI wall time per stage (see
-    /// [`StepProfile`]); installs a [`crate::stages::StageTimer`] as the
-    /// pipeline observer, adding a few `Instant` reads per active TTI.
-    pub fn enable_profiling(&mut self) {
-        self.observer.install_timer();
-    }
-
-    /// Accumulated per-stage timings, if profiling was enabled.
-    pub fn profile(&self) -> Option<&StepProfile> {
-        self.observer.profile()
-    }
-
     /// Attach a structural pipeline observer (replacing any previous
-    /// one, including the profiling timer). The observer sees every
-    /// stage bracket and an end-of-TTI [`TtiSummary`] on active TTIs —
-    /// see [`crate::stages`].
+    /// one). The observer sees every stage bracket and an end-of-TTI
+    /// [`TtiSummary`] on active TTIs — see [`crate::stages`].
     pub fn set_stage_observer(&mut self, obs: Box<dyn StageObserver + Send>) {
         self.observer.install(obs);
     }
