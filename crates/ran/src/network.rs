@@ -213,12 +213,21 @@ impl Network {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();
 
+        // Every cell shares one OutRAN policy, so resolve its MLFQ
+        // thresholds once here instead of once per `Cell::new`.
+        let thresholds = self.scheduler.uses_mlfq().then(|| {
+            CellConfig::lte_default(self.slots_per_cell, self.scheduler, self.seed)
+                .outran
+                .resolve_mlfq()
+                .thresholds
+        });
         let mut cells = Vec::with_capacity(n_cells);
         for c in 0..n_cells {
             let mut cfg =
                 CellConfig::lte_default(self.slots_per_cell, self.scheduler, self.seed + c as u64);
             cfg.channel = chan;
             cfg.faults = self.faults.clone();
+            cfg.outran.thresholds = thresholds.clone();
             cells.push(Cell::new(cfg));
         }
 
@@ -960,6 +969,20 @@ mod tests {
             format!("{:?}", tiny().run().report)
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn outran_cells_share_the_default_thresholds() {
+        let mut net = tiny();
+        net.scheduler = SchedulerKind::OutRan;
+        let want = outran_core::OutRanConfig::default()
+            .resolve_mlfq()
+            .thresholds;
+        let st = net.build_state();
+        assert!(st.cells.len() > 1);
+        for cell in &st.cells {
+            assert_eq!(cell.config().outran.thresholds.as_ref(), Some(&want));
+        }
     }
 
     #[test]

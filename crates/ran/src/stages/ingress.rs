@@ -47,8 +47,10 @@ struct FlowRt {
 pub struct IngressStage {
     flows: Vec<FlowRt>,
     events: EventQueue<Ev>,
-    /// Started-but-incomplete flows — the O(1) core of the idle test.
-    open_flows: u64,
+    /// Ids of the started-but-incomplete flows, ascending. The per-TTI
+    /// RTO and watchdog scans walk only these, and its length is the
+    /// O(1) core of the idle test. Rebuilt from `flows` on restore.
+    open: Vec<usize>,
     // CN-side byte-conservation ledger terms.
     injected_bytes: u64,
     cn_in_flight_bytes: u64,
@@ -62,7 +64,7 @@ impl IngressStage {
         IngressStage {
             flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
             events: EventQueue::new(),
-            open_flows: 0,
+            open: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
             injected_bytes: 0,
             cn_in_flight_bytes: 0,
             dropped_bytes: 0,
@@ -139,10 +141,11 @@ impl IngressStage {
             return 0;
         }
         f.done = true;
+        let remaining = f.size.saturating_sub(f.receiver.cum());
         if f.started {
-            self.open_flows -= 1;
+            self.close(fi);
         }
-        f.size.saturating_sub(f.receiver.cum())
+        remaining
     }
 
     /// Per-TTI ingress pass: drain due events (arrivals, packets, ACKs,
@@ -169,7 +172,11 @@ impl IngressStage {
                     // detach) must not open: `done` is terminal.
                     if !self.flows[flow].done {
                         self.flows[flow].started = true;
-                        self.open_flows += 1;
+                        // Arrivals need not fire in id order (handover
+                        // continuations), so insert in place.
+                        if let Err(at) = self.open.binary_search(&flow) {
+                            self.open.insert(at, flow);
+                        }
                         self.server_emit(now, cfg, hk, flow);
                     }
                 }
@@ -199,13 +206,13 @@ impl IngressStage {
             }
         }
 
-        // 2. RTO scan.
-        for flow in 0..self.flows.len() {
-            let f = &self.flows[flow];
-            if f.done || !f.started {
-                continue;
-            }
-            if let Some(deadline) = f.sender.rto_deadline() {
+        debug_assert!(self.open_is_consistent());
+
+        // 2. RTO scan over the open flows, ascending id. Neither scan
+        // opens or closes a flow, so `open` is stable while walked.
+        for i in 0..self.open.len() {
+            let flow = self.open[i];
+            if let Some(deadline) = self.flows[flow].sender.rto_deadline() {
                 if deadline <= now {
                     self.flows[flow].sender.on_rto(now);
                     self.server_emit(now, cfg, hk, flow);
@@ -218,12 +225,10 @@ impl IngressStage {
         // timeout (go-back-N refill) — the recovery of last resort when
         // every in-flight copy of a segment was lost to faults.
         if let Some(stall) = cfg.watchdog {
-            for flow in 0..self.flows.len() {
+            for i in 0..self.open.len() {
+                let flow = self.open[i];
                 let kick = {
                     let f = &mut self.flows[flow];
-                    if f.done || !f.started {
-                        continue;
-                    }
                     let cum = f.receiver.cum();
                     if cum > f.last_cum {
                         f.last_cum = cum;
@@ -331,17 +336,35 @@ impl IngressStage {
             .schedule(now + ul_delay, Ev::AckAtServer { flow, cum });
         if f.receiver.complete() {
             f.done = true;
-            self.open_flows -= 1;
-            let dur = now.saturating_since(f.spawn);
-            return Some(FlowDone {
+            let done = FlowDone {
                 id: flow,
                 ue: f.ue,
                 bytes: f.size,
                 spawn: f.spawn,
-                fct: dur,
-            });
+                fct: now.saturating_since(f.spawn),
+            };
+            self.close(flow);
+            return Some(done);
         }
         None
+    }
+
+    /// Drop a started flow that just became `done` from the open list.
+    fn close(&mut self, flow: usize) {
+        if let Ok(at) = self.open.binary_search(&flow) {
+            self.open.remove(at);
+        }
+    }
+
+    /// The open list is strictly ascending and holds exactly the
+    /// started-but-incomplete flows.
+    fn open_is_consistent(&self) -> bool {
+        self.open.windows(2).all(|w| w[0] < w[1])
+            && self
+                .open
+                .iter()
+                .all(|&i| self.flows[i].started && !self.flows[i].done)
+            && self.open.len() == self.flows.iter().filter(|f| f.started && !f.done).count()
     }
 
     /// Schedule an AM STATUS PDU's uplink arrival at the xNodeB.
@@ -353,7 +376,7 @@ impl IngressStage {
 
     /// Started-but-incomplete flow count.
     pub fn open_flows(&self) -> u64 {
-        self.open_flows
+        self.open.len() as u64
     }
 
     /// Instant of the earliest queued event, if any.
@@ -494,7 +517,7 @@ impl IngressStage {
                 status.snap(w);
             }
         });
-        w.u64(self.open_flows);
+        w.u64(self.open.len() as u64);
         w.u64(self.injected_bytes);
         w.u64(self.cn_in_flight_bytes);
         w.u64(self.dropped_bytes);
@@ -537,7 +560,14 @@ impl IngressStage {
                 _ => return Err(SnapError::Malformed("unknown ingress event tag")),
             })
         })?;
-        self.open_flows = r.u64()?;
+        self.open = (0..self.flows.len())
+            .filter(|&i| self.flows[i].started && !self.flows[i].done)
+            .collect();
+        if r.u64()? != self.open.len() as u64 {
+            return Err(SnapError::Malformed(
+                "ingress open-flow count disagrees with flows",
+            ));
+        }
         self.injected_bytes = r.u64()?;
         self.cn_in_flight_bytes = r.u64()?;
         self.dropped_bytes = r.u64()?;
@@ -565,5 +595,159 @@ impl IngressStage {
 impl Default for IngressStage {
     fn default() -> Self {
         IngressStage::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SchedulerKind;
+    use outran_simcore::Rng;
+
+    /// One ingress stage with the neighbours `run` needs.
+    struct Rig {
+        cfg: CellConfig,
+        ues: Vec<UeContext>,
+        rlc: RlcDownStage,
+        hk: HousekeepingStage,
+        obs: ObserverHost,
+        ing: IngressStage,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let cfg = CellConfig::lte_default(2, SchedulerKind::Pf, 5);
+            Rig {
+                ues: UeContext::build_all(&cfg),
+                rlc: RlcDownStage::new(&cfg),
+                hk: HousekeepingStage::new(&cfg, &Rng::new(cfg.seed)),
+                obs: ObserverHost::default(),
+                ing: IngressStage::new(),
+                cfg,
+            }
+        }
+
+        fn flow_at(&mut self, at_ms: u64, bytes: u64) -> usize {
+            let at = Time::from_millis(at_ms);
+            let tti = Dur::from_millis(1);
+            self.ing
+                .schedule_flow(Time::ZERO, tti, &self.cfg, at, 0, bytes, None)
+        }
+
+        fn run_at(&mut self, ms: u64) {
+            let now = Time::from_millis(ms);
+            self.ing.run(
+                now,
+                &self.cfg,
+                &mut self.ues,
+                &mut self.rlc,
+                &mut self.hk,
+                &mut self.obs,
+            );
+        }
+
+        fn deliver_all(&mut self, ms: u64, flow: usize) -> Option<FlowDone> {
+            let d = DeliveredSdu {
+                sdu_id: 0,
+                flow_id: flow as u64,
+                len: self.ing.flow_size(flow) as u32,
+                seq: 0,
+            };
+            self.ing
+                .accept_sdu(Time::from_millis(ms), Dur::from_millis(1), &d)
+        }
+
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.ing.snap(&mut w);
+            w.into_bytes()
+        }
+    }
+
+    #[test]
+    fn later_id_arriving_first_keeps_the_list_ascending() {
+        let mut rig = Rig::new();
+        let a = rig.flow_at(10, 5_000);
+        let b = rig.flow_at(5, 5_000);
+        rig.run_at(5);
+        assert_eq!(rig.ing.open, vec![b]);
+        rig.run_at(10);
+        assert_eq!(rig.ing.open, vec![a, b]);
+        assert_eq!(rig.ing.open_flows(), 2);
+    }
+
+    #[test]
+    fn completion_leaves_the_list() {
+        let mut rig = Rig::new();
+        let a = rig.flow_at(1, 3_000);
+        let b = rig.flow_at(1, 3_000);
+        rig.run_at(1);
+        let done = rig.deliver_all(2, a).expect("whole flow delivered");
+        assert_eq!(done.id, a);
+        assert_eq!(rig.ing.open, vec![b]);
+        rig.run_at(3);
+        assert_eq!(rig.ing.open_flows(), 1);
+    }
+
+    #[test]
+    fn abort_before_start_never_opens() {
+        let mut rig = Rig::new();
+        let a = rig.flow_at(10, 4_000);
+        assert_eq!(rig.ing.abort_flow(a), 4_000);
+        rig.run_at(10);
+        assert!(!rig.ing.flow_started(a));
+        assert!(rig.ing.open.is_empty());
+        assert_eq!(rig.ing.open_flows(), 0);
+    }
+
+    #[test]
+    fn abort_after_start_leaves_the_list() {
+        let mut rig = Rig::new();
+        let a = rig.flow_at(1, 4_000);
+        let b = rig.flow_at(1, 4_000);
+        rig.run_at(1);
+        assert_eq!(rig.ing.open, vec![a, b]);
+        assert_eq!(rig.ing.abort_flow(b), 4_000);
+        assert_eq!(rig.ing.open, vec![a]);
+        assert_eq!(rig.ing.abort_flow(b), 0);
+        rig.run_at(2);
+        assert_eq!(rig.ing.open, vec![a]);
+    }
+
+    #[test]
+    fn snapshot_round_trip_rebuilds_the_list() {
+        let mut rig = Rig::new();
+        let a = rig.flow_at(1, 3_000);
+        let b = rig.flow_at(1, 3_000);
+        let c = rig.flow_at(1, 3_000);
+        rig.flow_at(50, 3_000);
+        rig.run_at(1);
+        rig.deliver_all(2, b).expect("whole flow delivered");
+        let bytes = rig.snap_bytes();
+
+        let mut back = IngressStage::new();
+        let mut r = SnapReader::new(&bytes);
+        back.load_snap(&rig.cfg, &mut r).expect("restores");
+        assert!(r.is_exhausted());
+        assert_eq!(back.open, vec![a, c]);
+        assert_eq!(back.open_flows(), 2);
+    }
+
+    #[test]
+    fn snapshot_with_a_tampered_open_count_is_rejected() {
+        let mut rig = Rig::new();
+        rig.flow_at(1, 3_000);
+        rig.run_at(1);
+        let mut bytes = rig.snap_bytes();
+        // The count is followed by the three ledger `u64`s.
+        let at = bytes.len() - 4 * 8;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+
+        let mut back = IngressStage::new();
+        let err = back
+            .load_snap(&rig.cfg, &mut SnapReader::new(&bytes))
+            .expect_err("count disagrees with the flows");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err:?}");
     }
 }
