@@ -180,13 +180,19 @@ fn sim_json(rows: &[MetroRow]) -> String {
     json
 }
 
-/// Assemble the full BENCH_6.json: layout + wall clocks (informational,
-/// machine-dependent, so recorded with the worker threads used and the
-/// cores available) followed by the gated `"sim"` block, which is
+/// Assemble the full BENCH_6.json: the git revision and build profile
+/// measured, layout + wall clocks (informational, machine-dependent, so
+/// recorded with the worker threads used and the cores available)
+/// followed by the gated `"sim"` block, which is
 /// deliberately the final key so the gate can compare the raw tail of
 /// the file.
 fn metro_json(rows: &[MetroRow], threads: usize) -> String {
     let mut json = String::from("{\n  \"schema\": \"outran-metro-v1\",\n");
+    json.push_str(&format!(
+        "  \"git_rev\": \"{}\", \"profile\": \"{}\",\n",
+        outran_bench::git_rev(),
+        outran_bench::build_profile()
+    ));
     json.push_str(&format!(
         "  \"sites\": {SITES}, \"sectors\": {SECTORS}, \"cells\": {}, \
          \"slots\": {SLOTS}, \"ues\": {UES},\n  \"load\": {LOAD}, \

@@ -133,6 +133,42 @@ pub fn baseline_mode(bin: &str, threads: bool, usage: &str) -> BaselineMode {
     })
 }
 
+/// The checked-out git revision, read from `.git` in the working
+/// directory without running git; `"unknown"` outside a repository.
+/// Baseline headers record it so a later change can re-measure the same
+/// code.
+pub fn git_rev() -> String {
+    let read = |p: &str| std::fs::read_to_string(std::path::Path::new(".git").join(p)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(r) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(r)
+        .map(|h| h.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(r))?
+                .split_whitespace()
+                .next()
+                .map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The build profile this binary was compiled with: a debug build's
+/// timings are not comparable with a release build's.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
 /// Run `build(seed)` for every seed — fanned across the worker pool —
 /// and average the scalar metrics. Results are ordered by seed, so the
 /// output is identical to the serial loop it replaced.

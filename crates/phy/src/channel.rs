@@ -38,7 +38,19 @@
 //! the historical draw order, so results are bit-identical to the
 //! previous per-UE-struct implementation (locked in by the golden-trace
 //! digest tests in `outran-ran`).
+//!
+//! ## Parked slots
+//!
+//! A network layer provisions more UE slots than it fills, and a vacant
+//! slot's channel is never read. [`CellChannel::park`] takes a slot out
+//! of the per-TTI passes: each advance is appended to a run-length
+//! catch-up log instead, and the slot replays the log through the same
+//! per-UE fading, mobility and reporting steps before anything reads or
+//! writes its state. The replay walks the slot's own RNG streams in the
+//! same order with the same `ρᵏ`, so a parked slot ends up bit-identical
+//! to one that was never parked (see DESIGN.md "Virtual-time skipping").
 
+use std::borrow::Cow;
 use std::f64::consts::FRAC_1_SQRT_2;
 
 use outran_simcore::{Dur, Normal, Rng, Time};
@@ -143,6 +155,24 @@ impl ChannelConfig {
     }
 }
 
+/// One catch-up log entry: `n` consecutive advances of `k` TTIs each,
+/// the first starting at TTI index `from` and ending at instant `now`.
+/// Step `j` starts at `from + j·k` and ends at `now + j·k` TTIs.
+#[derive(Debug, Clone, Copy)]
+struct LoggedRun {
+    from: u64,
+    now: Time,
+    k: u64,
+    n: u64,
+}
+
+impl LoggedRun {
+    /// TTI index right after the run's last step.
+    fn end(&self) -> u64 {
+        self.from + self.n * self.k
+    }
+}
+
 /// The full cell channel: configuration + per-UE state planes.
 ///
 /// Per-(UE, subband) planes are indexed `ue * n_subbands + sb`; per-UE
@@ -215,10 +245,22 @@ pub struct CellChannel {
     // Fault injection.
     cqi_frozen: Vec<bool>,
     cqi_corrupt: Vec<bool>,
-    /// Reports suppressed by freeze windows (diagnostics).
-    pub cqi_frozen_reports: u64,
-    /// Reports replaced by corruption windows (diagnostics).
-    pub cqi_corrupted_reports: u64,
+    /// Reports suppressed by freeze windows, parked slots' pending
+    /// replays excluded (read through [`CellChannel::cqi_frozen_reports`]).
+    frozen_reports: u64,
+    /// Reports replaced by corruption windows, likewise.
+    corrupted_reports: u64,
+
+    // Parked slots (runtime machinery, never snapshotted: a snapshot
+    // writes every slot caught up, and a restore starts unparked).
+    /// Whether each UE slot is parked.
+    parked: Vec<bool>,
+    /// TTI index a parked slot's state is current at.
+    parked_at: Vec<u64>,
+    /// Number of parked slots; the log is kept only while it is positive.
+    n_parked: usize,
+    /// The advances some parked slot has not replayed yet, oldest first.
+    park_log: Vec<LoggedRun>,
 }
 
 impl CellChannel {
@@ -268,8 +310,12 @@ impl CellChannel {
             rate_per_cqi: rate_lut(&cfg),
             cqi_frozen: vec![false; n_ues],
             cqi_corrupt: vec![false; n_ues],
-            cqi_frozen_reports: 0,
-            cqi_corrupted_reports: 0,
+            frozen_reports: 0,
+            corrupted_reports: 0,
+            parked: vec![false; n_ues],
+            parked_at: vec![0; n_ues],
+            n_parked: 0,
+            park_log: Vec::new(),
         };
 
         for i in 0..n_ues {
@@ -377,11 +423,13 @@ impl CellChannel {
 
     /// Ground-truth SINR (dB) of `ue` on RB `rb` right now.
     pub fn actual_sinr_db(&self, ue: usize, rb: u16) -> f64 {
+        self.debug_assert_current(ue);
         self.actual_sinr_db_subband(ue, self.subband_of_rb(rb))
     }
 
     /// Mean (distance + shadowing only) SINR of a UE — the Fig 2b quantity.
     pub fn mean_sinr_db(&self, ue: usize) -> f64 {
+        self.debug_assert_current(ue);
         self.sinr_const_db[ue].min(self.cfg.sinr_cap_db)
     }
 
@@ -398,6 +446,7 @@ impl CellChannel {
 
     /// CQI the scheduler currently believes for `ue` on subband `sb`.
     pub fn reported_cqi_subband(&self, ue: usize, sb: usize) -> Cqi {
+        self.debug_assert_current(ue);
         self.reported[ue * self.n_subbands + sb]
     }
 
@@ -405,6 +454,7 @@ impl CellChannel {
     /// guarantee identical reported rates on every subband, letting the
     /// MAC revalidate cached metric rows without touching the CQIs.
     pub fn report_version(&self, ue: usize) -> u64 {
+        self.debug_assert_current(ue);
         self.reported_rev[ue]
     }
 
@@ -432,6 +482,7 @@ impl CellChannel {
     /// [`CellChannel::reported_rate_per_rb_subband`] for the MAC's flat
     /// rate-matrix refresh.
     pub fn fill_reported_rates(&self, ue: usize, out: &mut [f64]) {
+        self.debug_assert_current(ue);
         let base = ue * self.n_subbands;
         for (sb, r) in out.iter_mut().enumerate().take(self.n_subbands) {
             *r = self.rate_per_cqi[self.reported[base + sb].0 as usize];
@@ -461,6 +512,9 @@ impl CellChannel {
     ) {
         let n_sb = self.n_subbands;
         debug_assert!(bits_per_sb.len() >= n_sb && out.len() >= n_sb);
+        if self.parked[ue] && bits_per_sb[..n_sb].iter().any(|&b| b >= min_bits) {
+            self.catch_up(ue);
+        }
         let base = ue * n_sb;
         let sb_re = &self.fade_sb_re[base..base + n_sb];
         let sb_im = &self.fade_sb_im[base..base + n_sb];
@@ -490,6 +544,7 @@ impl CellChannel {
     /// Like [`CellChannel::transmission_succeeds`], with an extra
     /// effective-SINR gain in dB (HARQ chase combining).
     pub fn transmission_succeeds_with_gain(&mut self, ue: usize, sb: usize, gain_db: f64) -> bool {
+        self.catch_up(ue);
         let cqi = self.reported[ue * self.n_subbands + sb];
         let actual = self.actual_sinr_db_subband(ue, sb) + gain_db;
         let p_err = self.cfg.bler.error_prob(self.cfg.table, cqi, actual);
@@ -533,13 +588,16 @@ impl CellChannel {
     /// general stream), and within every single stream the draw order is
     /// unchanged (for the shared general stream: shadowing innovations in
     /// the mobility pass still precede that UE's corruption draws in the
-    /// reporting pass).
+    /// reporting pass). The same independence lets a parked slot skip
+    /// all three passes and replay them later, one UE at a time.
     fn advance_span(&mut self, now: Time, k: u64) {
         let from = self.tti_index;
         self.tti_index += k;
         let tti = self.cfg.radio.tti();
-        let mobility_every = (self.cfg.mobility_step.as_nanos() / tti.as_nanos()).max(1);
-        let crossings = self.tti_index / mobility_every - from / mobility_every;
+        let crossings = self.crossings(from, k);
+        if self.n_parked > 0 {
+            self.log_advance(from, now, k);
+        }
 
         self.advance_fading(k);
         // In external-geometry mode the network layer owns positions and
@@ -551,118 +609,280 @@ impl CellChannel {
         self.reporting_pass(now, tti);
     }
 
-    /// Batched AR(1) fading advance: one walk down each UE's fading
-    /// stream, updating the flat tap planes in place.
+    /// Mobility periods crossed by an advance of `k` TTIs from TTI
+    /// index `from`.
+    fn crossings(&self, from: u64, k: u64) -> u64 {
+        let tti = self.cfg.radio.tti();
+        let mobility_every = (self.cfg.mobility_step.as_nanos() / tti.as_nanos()).max(1);
+        (from + k) / mobility_every - from / mobility_every
+    }
+
+    /// Batched AR(1) fading advance: one walk down each unparked UE's
+    /// fading stream, updating the flat tap planes in place.
     fn advance_fading(&mut self, k: u64) {
         if k == 0 {
             return;
         }
         let g = Normal::new(0.0, FRAC_1_SQRT_2);
-        let n_sb = self.n_subbands;
         for ue in 0..self.n_ues {
-            let rho = self.fade_rho[ue];
-            if rho >= 1.0 {
-                continue; // static channel: no draws
+            if !self.parked[ue] {
+                self.fade_ue(ue, k, &g);
             }
-            // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
-            // tap (k == 1 keeps ρ itself, matching the historical
-            // single-step path bit for bit).
-            let rho_k = if k == 1 {
-                rho
-            } else {
-                rho.powi(k.min(i32::MAX as u64) as i32)
-            };
-            let w = (1.0 - rho_k * rho_k).sqrt();
-            let rng = &mut self.fade_rng[ue];
-            let base = ue * n_sb;
-            // Draw order per tap: re before im; subband taps in index
-            // order, wideband last (the Tap::advance order).
-            for t in base..base + n_sb {
-                let z_re = g.sample(rng);
-                let z_im = g.sample(rng);
-                self.fade_sb_re[t] = rho_k * self.fade_sb_re[t] + w * z_re;
-                self.fade_sb_im[t] = rho_k * self.fade_sb_im[t] + w * z_im;
-            }
+        }
+    }
+
+    /// Advance `ue`'s fading taps by `k` TTIs.
+    #[inline]
+    fn fade_ue(&mut self, ue: usize, k: u64, g: &Normal) {
+        let rho = self.fade_rho[ue];
+        if rho >= 1.0 {
+            return; // static channel: no draws
+        }
+        // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
+        // tap (k == 1 keeps ρ itself, matching the historical
+        // single-step path bit for bit).
+        let rho_k = if k == 1 {
+            rho
+        } else {
+            rho.powi(k.min(i32::MAX as u64) as i32)
+        };
+        let w = (1.0 - rho_k * rho_k).sqrt();
+        let rng = &mut self.fade_rng[ue];
+        let base = ue * self.n_subbands;
+        // Draw order per tap: re before im; subband taps in index
+        // order, wideband last (the Tap::advance order).
+        for t in base..base + self.n_subbands {
             let z_re = g.sample(rng);
             let z_im = g.sample(rng);
-            self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * z_re;
-            self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * z_im;
+            self.fade_sb_re[t] = rho_k * self.fade_sb_re[t] + w * z_re;
+            self.fade_sb_im[t] = rho_k * self.fade_sb_im[t] + w * z_im;
         }
+        let z_re = g.sample(rng);
+        let z_im = g.sample(rng);
+        self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * z_re;
+        self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * z_im;
     }
 
-    /// Composed mobility + shadowing pass over all UEs, refreshing the
-    /// cached large-scale SINR terms for every UE that moved.
+    /// Composed mobility + shadowing pass over all unparked UEs.
     fn advance_mobility(&mut self, crossings: u64) {
         for ue in 0..self.n_ues {
-            let before = self.walkers[ue].pos();
-            // Step-by-step (not one composed jump) so heading changes
-            // consume the whole elapsed span: idle skips and dense
-            // stepping agree on walker statistics (see
-            // `RandomWalk::advance_steps`).
-            self.walkers[ue].advance_steps(self.cfg.mobility_step, crossings);
-            let after = self.walkers[ue].pos();
-            let moved = ((after.x - before.x).powi(2) + (after.y - before.y).powi(2)).sqrt();
-            self.dist_since_shadow[ue] += moved;
-            // Shadowing evolves once the UE crossed a correlation step.
-            if self.dist_since_shadow[ue] >= self.cfg.shadowing_corr_m / 4.0 {
-                let rho = (-self.dist_since_shadow[ue] / self.cfg.shadowing_corr_m).exp();
-                let innovation =
-                    Normal::new(0.0, self.cfg.shadowing_sd_db).sample(&mut self.ue_rng[ue]);
-                self.shadow_db[ue] =
-                    rho * self.shadow_db[ue] + (1.0 - rho * rho).sqrt() * innovation;
-                self.dist_since_shadow[ue] = 0.0;
+            if !self.parked[ue] {
+                self.move_ue(ue, crossings);
             }
-            self.refresh_large_scale(ue);
         }
     }
 
-    /// CQI reporting pass: deliver aged pending reports, take new
-    /// measurements on the reporting period, honour fault windows.
+    /// Walk `ue` across `crossings` mobility periods, evolve its
+    /// shadowing, and refresh its cached large-scale SINR terms.
+    fn move_ue(&mut self, ue: usize, crossings: u64) {
+        let before = self.walkers[ue].pos();
+        // Step-by-step (not one composed jump) so heading changes
+        // consume the whole elapsed span: idle skips and dense
+        // stepping agree on walker statistics (see
+        // `RandomWalk::advance_steps`).
+        self.walkers[ue].advance_steps(self.cfg.mobility_step, crossings);
+        let after = self.walkers[ue].pos();
+        let moved = ((after.x - before.x).powi(2) + (after.y - before.y).powi(2)).sqrt();
+        self.dist_since_shadow[ue] += moved;
+        // Shadowing evolves once the UE crossed a correlation step.
+        if self.dist_since_shadow[ue] >= self.cfg.shadowing_corr_m / 4.0 {
+            let rho = (-self.dist_since_shadow[ue] / self.cfg.shadowing_corr_m).exp();
+            let innovation =
+                Normal::new(0.0, self.cfg.shadowing_sd_db).sample(&mut self.ue_rng[ue]);
+            self.shadow_db[ue] = rho * self.shadow_db[ue] + (1.0 - rho * rho).sqrt() * innovation;
+            self.dist_since_shadow[ue] = 0.0;
+        }
+        self.refresh_large_scale(ue);
+    }
+
+    /// CQI reporting pass over all unparked UEs.
     fn reporting_pass(&mut self, now: Time, tti: Dur) {
         for ue in 0..self.n_ues {
-            // Freeze fault: the reporting loop stalls — no pending
-            // delivery, no new measurement. The scheduler keeps acting on
-            // the last delivered report while the channel drifts.
-            if self.cqi_frozen[ue] {
-                if self.next_report_at[ue] <= now {
-                    self.cqi_frozen_reports += 1;
-                    self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
-                }
-                continue;
-            }
-            // Deliver a pending report that has aged past the delay —
-            // once per measurement (the fresh flag stops the old
-            // per-TTI re-clone of an already-delivered report).
-            if self.pending_fresh[ue] && self.pending_due[ue] <= now {
-                let base = ue * self.n_subbands;
-                for i in base..base + self.n_subbands {
-                    std::mem::swap(&mut self.reported[i], &mut self.pending[i]);
-                }
-                self.pending_fresh[ue] = false;
-                self.reported_rev[ue] += 1;
-            }
-            // Take a new measurement on the reporting period.
-            if self.next_report_at[ue] <= now {
-                if self.cqi_corrupt[ue] {
-                    // Corruption fault: the report is garbage, drawn from
-                    // the UE's own stream so runs stay deterministic.
-                    self.cqi_corrupted_reports += 1;
-                    let base = ue * self.n_subbands;
-                    for sb in 0..self.n_subbands {
-                        self.pending[base + sb] = Cqi(self.ue_rng[ue].index(16) as u8);
-                    }
-                } else {
-                    self.measure_into_pending(ue);
-                }
-                self.pending_fresh[ue] = true;
-                self.pending_due[ue] = now + tti.mul(self.cfg.cqi_delay_ttis as u64);
-                self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+            if !self.parked[ue] {
+                self.report_ue(ue, now, tti);
             }
         }
+    }
+
+    /// `ue`'s reporting step at `now`: deliver an aged pending report,
+    /// take a new measurement on the reporting period, honour fault
+    /// windows.
+    #[inline]
+    fn report_ue(&mut self, ue: usize, now: Time, tti: Dur) {
+        // Freeze fault: the reporting loop stalls — no pending
+        // delivery, no new measurement. The scheduler keeps acting on
+        // the last delivered report while the channel drifts.
+        if self.cqi_frozen[ue] {
+            if self.next_report_at[ue] <= now {
+                self.frozen_reports += 1;
+                self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+            }
+            return;
+        }
+        // Deliver a pending report that has aged past the delay —
+        // once per measurement (the fresh flag stops the old
+        // per-TTI re-clone of an already-delivered report).
+        if self.pending_fresh[ue] && self.pending_due[ue] <= now {
+            let base = ue * self.n_subbands;
+            for i in base..base + self.n_subbands {
+                std::mem::swap(&mut self.reported[i], &mut self.pending[i]);
+            }
+            self.pending_fresh[ue] = false;
+            self.reported_rev[ue] += 1;
+        }
+        // Take a new measurement on the reporting period.
+        if self.next_report_at[ue] <= now {
+            if self.cqi_corrupt[ue] {
+                // Corruption fault: the report is garbage, drawn from
+                // the UE's own stream so runs stay deterministic.
+                self.corrupted_reports += 1;
+                let base = ue * self.n_subbands;
+                for sb in 0..self.n_subbands {
+                    self.pending[base + sb] = Cqi(self.ue_rng[ue].index(16) as u8);
+                }
+            } else {
+                self.measure_into_pending(ue);
+            }
+            self.pending_fresh[ue] = true;
+            self.pending_due[ue] = now + tti.mul(self.cfg.cqi_delay_ttis as u64);
+            self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+        }
+    }
+
+    /// Park slot `ue`: the per-TTI passes skip it and every later
+    /// advance is logged for it instead, until [`CellChannel::unpark`].
+    /// Whatever reads or writes the slot's state first replays the log
+    /// through the same per-UE steps, so parking never changes a result;
+    /// it only saves the work nobody reads. The slot must carry no
+    /// traffic while parked. A no-op on a parked slot.
+    pub fn park(&mut self, ue: usize) {
+        if !self.parked[ue] {
+            self.parked[ue] = true;
+            self.parked_at[ue] = self.tti_index;
+            self.n_parked += 1;
+        }
+    }
+
+    /// Catch slot `ue` up and return it to the per-TTI passes. A no-op
+    /// on a slot that is not parked.
+    pub fn unpark(&mut self, ue: usize) {
+        if self.parked[ue] {
+            self.catch_up(ue);
+            self.parked[ue] = false;
+            self.n_parked -= 1;
+            self.trim_log();
+        }
+    }
+
+    /// Whether slot `ue` is parked.
+    pub fn is_parked(&self, ue: usize) -> bool {
+        self.parked[ue]
+    }
+
+    /// Entries in the catch-up log. One entry covers a run of equal,
+    /// back-to-back advances, so a busy cell adds one entry per
+    /// composed jump, not one per TTI.
+    pub fn park_log_len(&self) -> usize {
+        self.park_log.len()
+    }
+
+    /// Whether `ue` is parked and behind the channel clock.
+    fn lags(&self, ue: usize) -> bool {
+        self.parked[ue] && self.parked_at[ue] < self.tti_index
+    }
+
+    fn debug_assert_current(&self, ue: usize) {
+        debug_assert!(!self.lags(ue), "read of parked slot {ue} before catch-up");
+    }
+
+    /// Append an advance of `k` TTIs from TTI index `from`, ending at
+    /// `now`, to the catch-up log, extending the last run when it
+    /// continues it.
+    fn log_advance(&mut self, from: u64, now: Time, k: u64) {
+        let tti = self.cfg.radio.tti();
+        if let Some(last) = self.park_log.last_mut() {
+            if last.k == k && last.end() == from && last.now + tti.mul(last.n * k) == now {
+                last.n += 1;
+                return;
+            }
+        }
+        self.park_log.push(LoggedRun { from, now, k, n: 1 });
+    }
+
+    /// Replay every logged advance parked slot `ue` has missed, step by
+    /// step, through the per-UE fading, mobility and reporting steps the
+    /// per-TTI passes run. A no-op on a current or unparked slot.
+    fn catch_up(&mut self, ue: usize) {
+        if !self.lags(ue) {
+            return;
+        }
+        let g = Normal::new(0.0, FRAC_1_SQRT_2);
+        let tti = self.cfg.radio.tti();
+        let at = self.parked_at[ue];
+        let first = self.park_log.partition_point(|r| r.end() <= at);
+        for i in first..self.park_log.len() {
+            let run = self.park_log[i];
+            // Steps of this run the slot already went through.
+            let done = at.saturating_sub(run.from) / run.k;
+            for j in done..run.n {
+                let from = run.from + j * run.k;
+                self.fade_ue(ue, run.k, &g);
+                let crossings = self.crossings(from, run.k);
+                if crossings > 0 && !self.ext_geometry {
+                    self.move_ue(ue, crossings);
+                }
+                self.report_ue(ue, run.now + tti.mul(j * run.k), tti);
+            }
+        }
+        self.parked_at[ue] = self.tti_index;
+        self.trim_log();
+    }
+
+    /// Drop the log prefix no parked slot still needs.
+    fn trim_log(&mut self) {
+        let oldest = (0..self.n_ues)
+            .filter(|&u| self.parked[u])
+            .map(|u| self.parked_at[u])
+            .min();
+        match oldest {
+            Some(at) => {
+                let stale = self.park_log.partition_point(|r| r.end() <= at);
+                self.park_log.drain(..stale);
+            }
+            None => self.park_log.clear(),
+        }
+    }
+
+    /// This channel, or a copy with every lagging parked slot picked by
+    /// `pick` caught up: the view `&self` readers of cell-wide state use.
+    fn caught_up(&self, pick: impl Fn(usize) -> bool) -> Cow<'_, CellChannel> {
+        let behind: Vec<usize> = (0..self.n_ues)
+            .filter(|&u| self.lags(u) && pick(u))
+            .collect();
+        if behind.is_empty() {
+            return Cow::Borrowed(self);
+        }
+        let mut ch = self.clone();
+        for ue in behind {
+            ch.catch_up(ue);
+        }
+        Cow::Owned(ch)
+    }
+
+    /// Reports suppressed by freeze windows (diagnostics). Only a
+    /// parked slot with a fault flag set can owe the counters a replay.
+    pub fn cqi_frozen_reports(&self) -> u64 {
+        self.caught_up(|u| self.cqi_frozen[u]).frozen_reports
+    }
+
+    /// Reports replaced by corruption windows (diagnostics).
+    pub fn cqi_corrupted_reports(&self) -> u64 {
+        self.caught_up(|u| self.cqi_corrupt[u]).corrupted_reports
     }
 
     /// Distance of `ue` from the base station (m).
     pub fn ue_distance(&self, ue: usize) -> f64 {
+        self.debug_assert_current(ue);
         if self.ext_geometry {
             self.ext_dist_m[ue]
         } else {
@@ -690,6 +910,7 @@ impl CellChannel {
             self.ext_geometry,
             "set_ue_geometry on a channel that owns its own geometry"
         );
+        self.catch_up(ue);
         self.ext_dist_m[ue] = dist_m;
         self.shadow_db[ue] = shadow_db;
         self.iplusn_dbm[ue] = iplusn_dbm;
@@ -699,6 +920,7 @@ impl CellChannel {
     /// Update only `ue`'s interference-plus-noise term (the epoch-boundary
     /// load-coupling path; position and shadowing are unchanged).
     pub fn set_ue_iplusn(&mut self, ue: usize, iplusn_dbm: f64) {
+        self.catch_up(ue);
         self.iplusn_dbm[ue] = iplusn_dbm;
         self.refresh_large_scale(ue);
     }
@@ -709,6 +931,7 @@ impl CellChannel {
     /// reports. Draws no randomness; bumps each report version.
     pub fn reprime_reports(&mut self) {
         for u in 0..self.n_ues {
+            self.catch_up(u);
             self.measure_into_pending(u);
             let base = u * self.n_subbands;
             self.reported[base..base + self.n_subbands]
@@ -719,14 +942,22 @@ impl CellChannel {
     }
 
     /// Fault injection: freeze or unfreeze `ue`'s CQI reporting loop.
+    /// A parked slot catches up before its flag changes, so its log
+    /// replays under the flags in force when each advance happened.
     pub fn set_cqi_frozen(&mut self, ue: usize, frozen: bool) {
-        self.cqi_frozen[ue] = frozen;
+        if self.cqi_frozen[ue] != frozen {
+            self.catch_up(ue);
+            self.cqi_frozen[ue] = frozen;
+        }
     }
 
     /// Fault injection: corrupt (or stop corrupting) `ue`'s new CQI
-    /// measurements.
+    /// measurements (a parked slot catches up first, as for a freeze).
     pub fn set_cqi_corrupt(&mut self, ue: usize, corrupt: bool) {
-        self.cqi_corrupt[ue] = corrupt;
+        if self.cqi_corrupt[ue] != corrupt {
+            self.catch_up(ue);
+            self.cqi_corrupt[ue] = corrupt;
+        }
     }
 }
 
@@ -755,8 +986,16 @@ impl CellChannel {
     /// The wire format is unchanged from the per-UE-struct layout: a
     /// sequence of per-UE records (walker, fading taps + ρ + flatness +
     /// fading RNG, shadow, reported/pending CQI rows, reporting clocks,
-    /// general RNG) followed by the cell-wide fields.
+    /// general RNG) followed by the cell-wide fields. Parked slots are
+    /// written caught up (from a copy, so they stay parked here) and the
+    /// park state itself is not written: the bytes equal those of a
+    /// channel that never parked.
     pub fn snap(&self, w: &mut SnapWriter) {
+        self.caught_up(|_| true).snap_current(w);
+    }
+
+    /// [`CellChannel::snap`] of a channel with no lagging slot.
+    fn snap_current(&self, w: &mut SnapWriter) {
         w.seq(0..self.n_ues, |w, ue| {
             let base = ue * self.n_subbands;
             self.walkers[ue].snap(w);
@@ -787,8 +1026,8 @@ impl CellChannel {
         w.seq(self.dist_since_shadow.iter(), |w, &d| w.f64(d));
         w.seq(self.cqi_frozen.iter(), |w, &b| w.bool(b));
         w.seq(self.cqi_corrupt.iter(), |w, &b| w.bool(b));
-        w.u64(self.cqi_frozen_reports);
-        w.u64(self.cqi_corrupted_reports);
+        w.u64(self.frozen_reports);
+        w.u64(self.corrupted_reports);
         // Network-coupling planes (noise-only / zero in an isolated cell).
         w.seq(self.iplusn_dbm.iter(), |w, &v| w.f64(v));
         w.seq(self.ext_dist_m.iter(), |w, &v| w.f64(v));
@@ -796,7 +1035,8 @@ impl CellChannel {
 
     /// Overwrite this channel's dynamic state from [`CellChannel::snap`]
     /// output. The channel must have been constructed with the same
-    /// configuration (UE count and subband count are checked).
+    /// configuration (UE count and subband count are checked). Every
+    /// slot comes back unparked.
     pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         struct UeRecord {
             walker: RandomWalk,
@@ -876,8 +1116,8 @@ impl CellChannel {
         {
             return Err(SnapError::Malformed("per-UE vector length mismatch"));
         }
-        self.cqi_frozen_reports = r.u64()?;
-        self.cqi_corrupted_reports = r.u64()?;
+        self.frozen_reports = r.u64()?;
+        self.corrupted_reports = r.u64()?;
         self.iplusn_dbm = r.seq(|r| r.f64())?;
         self.ext_dist_m = r.seq(|r| r.f64())?;
         if self.iplusn_dbm.len() != self.n_ues || self.ext_dist_m.len() != self.n_ues {
@@ -885,6 +1125,9 @@ impl CellChannel {
                 "coupling-plane length mismatch in channel snapshot",
             ));
         }
+        self.parked.fill(false);
+        self.n_parked = 0;
+        self.park_log.clear();
         // Rebuild the cached large-scale terms from the restored state.
         for ue in 0..self.n_ues {
             self.refresh_large_scale(ue);
@@ -897,6 +1140,7 @@ impl CellChannel {
 mod tests {
     use super::*;
     use crate::fading::FadingProcess;
+    use proptest::prelude::*;
 
     fn small_channel() -> CellChannel {
         let mut cfg = ChannelConfig::lte_default();
@@ -1018,15 +1262,15 @@ mod tests {
         }
         let after: Vec<Cqi> = (0..4).map(|sb| ch.reported_cqi_subband(0, sb)).collect();
         assert_eq!(before, after, "frozen UE's reported CQI must not move");
-        assert!(ch.cqi_frozen_reports > 0, "suppressed reports must count");
+        assert!(ch.cqi_frozen_reports() > 0, "suppressed reports must count");
         // Unfreeze: the loop resumes and the counter stops growing.
         ch.set_cqi_frozen(0, false);
-        let held = ch.cqi_frozen_reports;
+        let held = ch.cqi_frozen_reports();
         for _ in 0..2000 {
             now += tti;
             ch.advance_tti(now);
         }
-        assert_eq!(ch.cqi_frozen_reports, held);
+        assert_eq!(ch.cqi_frozen_reports(), held);
     }
 
     #[test]
@@ -1040,7 +1284,7 @@ mod tests {
             ch.advance_tti(now);
         }
         assert!(
-            ch.cqi_corrupted_reports > 0,
+            ch.cqi_corrupted_reports() > 0,
             "corrupt window must replace measurements"
         );
         // Reported CQIs stay in the valid 0..=15 range even when junk.
@@ -1235,5 +1479,239 @@ mod tests {
             (0.003..=0.12).contains(&rate),
             "error rate={rate} out of expected band"
         );
+    }
+
+    /// One step of the parking differential test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Advance both channels by this many TTIs.
+        Advance(u64),
+        Park(usize),
+        Unpark(usize),
+        Geometry(usize, f64, f64, f64),
+        Iplusn(usize, f64),
+        Freeze(usize, bool),
+        Corrupt(usize, bool),
+        /// Fresh outcome draws on the subbands whose mask bit is set.
+        Outcomes(usize, u8),
+        /// A HARQ retransmission draw on one subband.
+        Retx(usize, usize),
+    }
+
+    const PARK_UES: usize = 5;
+    const PARK_SBS: usize = 4;
+
+    /// Draw one op; advances are mostly single TTIs, with composed
+    /// jumps of up to 300 TTIs mixed in.
+    fn park_op(ext: bool, rng: &mut TestRng) -> Op {
+        let ue = rng.below(PARK_UES as u64) as usize;
+        let flag = rng.below(2) == 1;
+        let uniform = |rng: &mut TestRng, lo: f64, hi: f64| lo + rng.f64() * (hi - lo);
+        match rng.below(21) {
+            0..=5 => Op::Advance(1),
+            6..=8 => Op::Advance(2 + rng.below(18)),
+            9 => Op::Advance(20 + rng.below(280)),
+            10..=12 => Op::Park(ue),
+            13 | 14 => Op::Unpark(ue),
+            // Geometry pushes exist only in external-geometry mode.
+            15 if ext => Op::Geometry(
+                ue,
+                uniform(rng, 20.0, 400.0),
+                uniform(rng, -8.0, 8.0),
+                uniform(rng, -110.0, -80.0),
+            ),
+            15 | 16 => Op::Iplusn(ue, uniform(rng, -110.0, -80.0)),
+            17 => Op::Freeze(ue, flag),
+            18 => Op::Corrupt(ue, flag),
+            19 => Op::Outcomes(ue, rng.below(16) as u8),
+            _ => Op::Retx(ue, rng.below(PARK_SBS as u64) as usize),
+        }
+    }
+
+    /// A geometry mode and up to 60 ops to run in it.
+    struct ParkCase;
+
+    impl Strategy for ParkCase {
+        type Value = (bool, Vec<Op>);
+        fn generate(&self, rng: &mut TestRng) -> (bool, Vec<Op>) {
+            let ext = rng.below(2) == 1;
+            let n = 1 + rng.below(60) as usize;
+            (ext, (0..n).map(|_| park_op(ext, rng)).collect())
+        }
+    }
+
+    fn park_channel(ext: bool) -> CellChannel {
+        let mut cfg = ChannelConfig::lte_default();
+        cfg.n_subbands = PARK_SBS;
+        cfg.external_geometry = ext;
+        // Mobility periods short enough that composed jumps cross them.
+        cfg.mobility_step = Dur::from_millis(10);
+        CellChannel::new(cfg, PARK_UES, &Rng::new(11))
+    }
+
+    fn snap_bytes(ch: &CellChannel) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        ch.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `parking`, with every parked slot caught up, equals `reference`
+    /// bit for bit, and so do both channels' snapshots.
+    fn assert_same_state(parking: &CellChannel, reference: &CellChannel) {
+        let mut a = parking.clone();
+        for ue in 0..PARK_UES {
+            a.catch_up(ue);
+        }
+        let b = reference;
+        assert_eq!(a.tti_index, b.tti_index);
+        assert_eq!(
+            bits(&a.fade_sb_re),
+            bits(&b.fade_sb_re),
+            "subband taps (re)"
+        );
+        assert_eq!(
+            bits(&a.fade_sb_im),
+            bits(&b.fade_sb_im),
+            "subband taps (im)"
+        );
+        assert_eq!(
+            bits(&a.fade_wb_re),
+            bits(&b.fade_wb_re),
+            "wideband taps (re)"
+        );
+        assert_eq!(
+            bits(&a.fade_wb_im),
+            bits(&b.fade_wb_im),
+            "wideband taps (im)"
+        );
+        assert_eq!(
+            bits(&a.sinr_const_db),
+            bits(&b.sinr_const_db),
+            "large-scale SINR"
+        );
+        assert_eq!(a.pending, b.pending, "pending CQIs");
+        assert_eq!(a.reported, b.reported, "reported CQIs");
+        assert_eq!(a.pending_fresh, b.pending_fresh);
+        assert_eq!(a.pending_due, b.pending_due);
+        assert_eq!(a.next_report_at, b.next_report_at);
+        for ue in 0..PARK_UES {
+            assert_eq!(
+                a.report_version(ue),
+                b.report_version(ue),
+                "ue {ue} version"
+            );
+        }
+        assert_eq!(a.frozen_reports, b.frozen_reports);
+        assert_eq!(a.corrupted_reports, b.corrupted_reports);
+        assert_eq!(parking.cqi_frozen_reports(), b.cqi_frozen_reports());
+        assert_eq!(parking.cqi_corrupted_reports(), b.cqi_corrupted_reports());
+        assert!(
+            snap_bytes(parking) == snap_bytes(b),
+            "snapshot bytes differ"
+        );
+    }
+
+    /// Run `ops` on a parking channel and on one that never parks,
+    /// asserting after every step that nothing tells them apart.
+    fn check_parking(ext: bool, ops: &[Op]) {
+        let mut a = park_channel(ext);
+        let mut b = park_channel(ext);
+        let tti = a.config().radio.tti();
+        let mut idx = 0u64;
+        let mut out_a = [false; PARK_SBS];
+        let mut out_b = [false; PARK_SBS];
+        for op in ops {
+            match *op {
+                Op::Advance(k) => {
+                    idx += k;
+                    let now = Time::ZERO + Dur(tti.0 * idx);
+                    a.advance_to(now);
+                    b.advance_to(now);
+                }
+                Op::Park(u) => a.park(u),
+                Op::Unpark(u) => a.unpark(u),
+                Op::Geometry(u, d, s, i) => {
+                    a.set_ue_geometry(u, d, s, i);
+                    b.set_ue_geometry(u, d, s, i);
+                }
+                Op::Iplusn(u, i) => {
+                    a.set_ue_iplusn(u, i);
+                    b.set_ue_iplusn(u, i);
+                }
+                Op::Freeze(u, f) => {
+                    a.set_cqi_frozen(u, f);
+                    b.set_cqi_frozen(u, f);
+                }
+                Op::Corrupt(u, c) => {
+                    a.set_cqi_corrupt(u, c);
+                    b.set_cqi_corrupt(u, c);
+                }
+                Op::Outcomes(u, mask) => {
+                    let bits_sb: Vec<f64> = (0..PARK_SBS)
+                        .map(|sb| if mask >> sb & 1 == 1 { 800.0 } else { 0.0 })
+                        .collect();
+                    a.fresh_outcomes(u, &bits_sb, 8.0, &mut out_a);
+                    b.fresh_outcomes(u, &bits_sb, 8.0, &mut out_b);
+                    assert_eq!(out_a, out_b, "outcomes after {op:?}");
+                }
+                Op::Retx(u, sb) => assert_eq!(
+                    a.transmission_succeeds_with_gain(u, sb, 1.5),
+                    b.transmission_succeeds_with_gain(u, sb, 1.5),
+                    "retransmission after {op:?}"
+                ),
+            }
+            // Unparked slots read the same reports at every step.
+            for u in (0..PARK_UES).filter(|&u| !a.is_parked(u)) {
+                assert_eq!(a.report_version(u), b.report_version(u));
+                for sb in 0..PARK_SBS {
+                    assert_eq!(a.reported_cqi_subband(u, sb), b.reported_cqi_subband(u, sb));
+                }
+            }
+            assert_same_state(&a, &b);
+        }
+        for u in 0..PARK_UES {
+            a.unpark(u);
+        }
+        assert_eq!(a.park_log_len(), 0);
+        assert_same_state(&a, &b);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Parking is invisible: random advances (single TTIs and
+        /// composed jumps), park/unpark, geometry and I+N pushes, fault
+        /// flag toggles and outcome draws leave a parking channel
+        /// bit-identical to one that never parks, in both geometry modes.
+        #[test]
+        fn parking_is_bit_identical_to_never_parking(case in ParkCase) {
+            check_parking(case.0, &case.1);
+        }
+    }
+
+    #[test]
+    fn busy_channel_logs_one_run_per_composed_jump() {
+        let mut ch = park_channel(true);
+        let tti = ch.config().radio.tti();
+        ch.park(2);
+        let mut idx = 0u64;
+        for _ in 0..3000 {
+            idx += 1;
+            ch.advance_to(Time::ZERO + Dur(tti.0 * idx));
+        }
+        assert_eq!(ch.park_log_len(), 1, "back-to-back TTIs are one run");
+        idx += 40;
+        ch.advance_to(Time::ZERO + Dur(tti.0 * idx));
+        for _ in 0..500 {
+            idx += 1;
+            ch.advance_to(Time::ZERO + Dur(tti.0 * idx));
+        }
+        assert_eq!(ch.park_log_len(), 3, "a composed jump breaks the run");
+        ch.unpark(2);
+        assert_eq!(ch.park_log_len(), 0, "an unused log is dropped");
     }
 }

@@ -223,9 +223,11 @@ impl Cell {
     /// Register a flow of `bytes` toward `ue`, starting at the server at
     /// `at` (≥ now). `conn` groups flows onto a shared five-tuple (QUIC
     /// multiplexing, §4.2 limitation); `None` gives the flow its own.
+    /// A parked slot is unparked: a slot with traffic is never parked.
     pub fn schedule_flow(&mut self, at: Time, ue: usize, bytes: u64, conn: Option<u64>) -> usize {
         assert!(ue < self.cfg.n_ues);
         assert!(bytes > 0);
+        self.phy.unpark(ue);
         self.ingress
             .schedule_flow(self.now, self.tti, &self.cfg, at, ue, bytes, conn)
     }
@@ -235,6 +237,7 @@ impl Cell {
     pub fn add_gbr_bearer(&mut self, bearer: GbrBearer) {
         assert!(bearer.ue < self.cfg.n_ues);
         assert!(bearer.pkt_bytes > 0 && bearer.interval > Dur::ZERO);
+        self.phy.unpark(bearer.ue);
         self.mac.add_gbr_bearer(self.now, bearer);
     }
 
@@ -589,8 +592,8 @@ impl Cell {
     /// Fault and recovery counters, merged with the live PHY/PDCP views.
     pub fn fault_stats(&self) -> FaultStats {
         let mut s = self.hk.counters();
-        s.cqi_frozen_reports = self.phy.channel().cqi_frozen_reports;
-        s.cqi_corrupted_reports = self.phy.channel().cqi_corrupted_reports;
+        s.cqi_frozen_reports = self.phy.channel().cqi_frozen_reports();
+        s.cqi_corrupted_reports = self.phy.channel().cqi_corrupted_reports();
         s.flows_evicted = self.ues.iter().map(|ctx| ctx.flow_table.evictions()).sum();
         s
     }
@@ -623,6 +626,22 @@ impl Cell {
         self.phy.set_ue_geometry(ue, dist_m, shadow_db, iplusn_dbm);
     }
 
+    /// Park vacant slot `ue`: its channel stops evolving every TTI and
+    /// catches up exactly when next read or written (see
+    /// [`outran_phy::channel::CellChannel::park`]). The slot must carry
+    /// no traffic; scheduling a flow onto it, or attaching a UE to it,
+    /// unparks it.
+    pub(crate) fn park_slot(&mut self, ue: usize) {
+        assert!(ue < self.cfg.n_ues);
+        self.phy.park(ue);
+    }
+
+    /// The PHY channel (read-only).
+    #[cfg(test)]
+    pub(crate) fn channel(&self) -> &outran_phy::channel::CellChannel {
+        self.phy.channel()
+    }
+
     /// Re-prime CQI reports after the initial geometry push (see
     /// [`outran_phy::channel::CellChannel::reprime_reports`]).
     pub fn reprime_reports(&mut self) {
@@ -634,7 +653,9 @@ impl Cell {
     /// (the undelivered tail becomes a continuation flow at the target),
     /// the PDCP flow state is exported, and the RLC entities + HARQ are
     /// flushed through the same re-establishment the RLF machinery uses.
-    /// The slot is left clean for a future occupant.
+    /// The slot then carries no traffic, and the network layer parks it
+    /// (`Cell::park_slot`): its channel keeps evolving lazily, and a
+    /// future occupant finds it exactly as if it had never been parked.
     pub fn handover_detach(&mut self, ue: usize) -> HandoverExport {
         assert!(ue < self.cfg.n_ues);
         let mut flows = Vec::new();
@@ -667,9 +688,11 @@ impl Cell {
     /// continuation carrying its original five-tuple (so the imported
     /// MLFQ sent-bytes keep counting) sized at the undelivered tail.
     /// Returns the continuation flow indices, in `export.flows` order,
-    /// so the caller can map completions back to flow origins.
+    /// so the caller can map completions back to flow origins. A parked
+    /// slot is caught up and unparked first.
     pub fn handover_attach(&mut self, ue: usize, export: &HandoverExport) -> Vec<usize> {
         assert!(ue < self.cfg.n_ues);
+        self.phy.unpark(ue);
         self.ues[ue].flow_table.import(&export.pdcp, self.now);
         let now = self.now;
         export

@@ -30,6 +30,18 @@
 //!   five-tuple. Undelivered tails complete at the target; FCT is
 //!   attributed to the *original* spawn via an origin chain that
 //!   survives repeated handovers.
+//! * **Slot lifecycle** — each cell provisions `slots_per_cell` UE
+//!   slots, more than it fills, as handover headroom. A slot nobody
+//!   occupies is *parked*
+//!   ([`outran_phy::channel::CellChannel::park`]): its channel skips the
+//!   per-TTI fading and reporting passes and logs the advances instead.
+//!   [`Network`] parks every vacant slot once the initial geometry is
+//!   pushed, parks a handover's source slot right after the detach, and
+//!   [`crate::cell::Cell::handover_attach`] unparks the target slot, which
+//!   first replays the log. A resume restores every channel unparked and
+//!   re-parks the slots the restored registry leaves vacant. Replay is
+//!   exact, so parking changes no simulated byte; it only skips the work
+//!   of slots that stay vacant.
 //!
 //! Every inter-cell decision happens serially at the barrier in a fixed
 //! order, and cells only run in parallel *between* barriers, so the
@@ -186,6 +198,13 @@ impl Network {
     /// section are overlaid. The continuation is bit-identical to the
     /// uninterrupted run.
     pub fn resume(&self, file: &SnapshotFile) -> Result<NetworkRun, SnapError> {
+        let st = self.restore_state(file)?;
+        Ok(self.run_state(st))
+    }
+
+    /// Rebuild the state a checkpoint written by this configuration
+    /// holds (see [`Network::resume`]).
+    fn restore_state(&self, file: &SnapshotFile) -> Result<NetState, SnapError> {
         let mut st = self.build_state();
         for i in 0..st.cells.len() {
             crate::checkpoint::restore_cell(file, i, &mut st.cells[i])?;
@@ -195,7 +214,10 @@ impl Network {
         if !r.is_exhausted() {
             return Err(SnapError::Malformed("trailing bytes in network section"));
         }
-        Ok(self.run_state(st))
+        // The restored channels come back unparked; park the slots the
+        // restored registry leaves vacant.
+        st.park_vacant_slots();
+        Ok(st)
     }
 
     /// Build the full initial state: cells in external-geometry mode,
@@ -339,12 +361,12 @@ impl Network {
             epoch: 0,
         };
 
-        // Initial geometry: park every slot at the cell edge, then push
+        // Initial geometry: place every slot at the cell edge, then push
         // the real per-UE geometry (no neighbor loads yet, so I+N is the
         // noise floor) and re-prime the CQI reports — construction
-        // measured them at a placeholder distance.
-        for (c, cell) in st.cells.iter_mut().enumerate() {
-            let _ = c;
+        // measured them at a placeholder distance. Then park the slots
+        // nobody occupies.
+        for cell in &mut st.cells {
             for s in 0..self.slots_per_cell {
                 cell.set_ue_geometry(s, self.isd_m, 0.0, chan.noise_dbm());
             }
@@ -353,6 +375,7 @@ impl Network {
         for cell in &mut st.cells {
             cell.reprime_reports();
         }
+        st.park_vacant_slots();
         st
     }
 
@@ -480,6 +503,7 @@ impl Network {
             }
             let export = st.cells[src].handover_detach(src_slot);
             st.slot_owner[src][src_slot] = None;
+            st.cells[src].park_slot(src_slot);
             let conts = st.cells[dst].handover_attach(dst_slot, &export);
             st.stats.flows_transferred += export.flows.len() as u64;
             for (hf, &ni) in export.flows.iter().zip(&conts) {
@@ -528,6 +552,34 @@ impl Network {
         write_atomic(path, &file.to_bytes())
     }
 
+    /// One epoch from `t` to `t_next`: inject its arrivals, step the
+    /// cells in parallel, then run the barrier.
+    fn run_epoch(
+        &self,
+        geo: &NetGeometry,
+        chan: &ChannelConfig,
+        st: &mut NetState,
+        t: Time,
+        t_next: Time,
+    ) {
+        // Inject this epoch's arrivals into each UE's *current* serving
+        // cell before the cells advance; `conn` carries the global
+        // arrival index so five-tuples are collision-free network-wide
+        // (continuations keep their original tuple).
+        while st.cursor < st.arrivals.len() && st.arrivals[st.cursor].at <= t_next {
+            let a: FlowArrival = st.arrivals[st.cursor];
+            let ue = &st.ues[a.ue];
+            st.cells[ue.serving].schedule_flow(a.at, ue.slot, a.bytes, Some(st.cursor as u64));
+            st.cursor += 1;
+        }
+        st.cells = parallel_map_eager(self.threads, std::mem::take(&mut st.cells), |mut c| {
+            c.run_until(t_next);
+            c
+        });
+        st.epoch += 1;
+        self.barrier(geo, chan, st, t_next.since(t));
+    }
+
     /// The epoch loop over an initial (or restored) state.
     fn run_state(&self, mut st: NetState) -> NetworkRun {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
@@ -541,28 +593,12 @@ impl Network {
         let mut checkpoint = None;
         while t < end {
             let t_next = (t + EPOCH).min(end);
-            // Inject this epoch's arrivals into each UE's *current*
-            // serving cell before the cells advance; `conn` carries the
-            // global arrival index so five-tuples are collision-free
-            // network-wide (continuations keep their original tuple).
-            while st.cursor < st.arrivals.len() && st.arrivals[st.cursor].at <= t_next {
-                let a: FlowArrival = st.arrivals[st.cursor];
-                let ue = &st.ues[a.ue];
-                st.cells[ue.serving].schedule_flow(a.at, ue.slot, a.bytes, Some(st.cursor as u64));
-                st.cursor += 1;
-            }
             // The watchdog gates only *whether the run continues*, never
             // any simulated quantity.
             // outran-lint: allow(D1,S5) -- wall-time watchdog, measurement only; never feeds sim state
             let epoch_start = std::time::Instant::now();
-            st.cells = parallel_map_eager(self.threads, std::mem::take(&mut st.cells), |mut c| {
-                c.run_until(t_next);
-                c
-            });
-            let span = t_next.since(t);
+            self.run_epoch(&geo, &chan, &mut st, t, t_next);
             t = t_next;
-            st.epoch += 1;
-            self.barrier(&geo, &chan, &mut st, span);
             let over_limit = self
                 .epoch_wall_limit
                 .map(|limit| epoch_start.elapsed() > limit)
@@ -808,6 +844,17 @@ struct NetState {
 }
 
 impl NetState {
+    /// Park every slot `slot_owner` leaves vacant.
+    fn park_vacant_slots(&mut self) {
+        for (cell, slots) in self.cells.iter_mut().zip(&self.slot_owner) {
+            for (s, owner) in slots.iter().enumerate() {
+                if owner.is_none() {
+                    cell.park_slot(s);
+                }
+            }
+        }
+    }
+
     /// Serialize the network section.
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.epoch);
@@ -996,5 +1043,117 @@ mod tests {
             assert!(ue.serving < net.n_cells());
             assert!(ue.slot < net.slots_per_cell);
         }
+    }
+
+    /// Every slot is parked exactly when no UE occupies it.
+    fn assert_parked_iff_vacant(st: &NetState) {
+        for (c, slots) in st.slot_owner.iter().enumerate() {
+            for (s, owner) in slots.iter().enumerate() {
+                assert_eq!(
+                    st.cells[c].channel().is_parked(s),
+                    owner.is_none(),
+                    "cell {c} slot {s} (owner {owner:?})"
+                );
+            }
+        }
+    }
+
+    /// Step `st` epoch by epoch until a handover has executed (at most
+    /// the configured duration); returns the instant reached.
+    fn run_to_first_handover(net: &Network, st: &mut NetState) -> Time {
+        let geo = NetGeometry::hex(net.n_sites, net.isd_m);
+        let chan = net.channel_config();
+        let mut t = Time::ZERO;
+        while st.stats.successes == 0 && t < net.duration {
+            let before: Vec<(usize, usize)> = st.ues.iter().map(|u| (u.serving, u.slot)).collect();
+            let t_next = t + EPOCH;
+            net.run_epoch(&geo, &chan, st, t, t_next);
+            t = t_next;
+            assert_parked_iff_vacant(st);
+            for (ue, &(src, src_slot)) in st.ues.iter().zip(&before) {
+                if (ue.serving, ue.slot) != (src, src_slot) {
+                    assert!(!st.cells[ue.serving].channel().is_parked(ue.slot));
+                    let vacated = st.slot_owner[src][src_slot].is_none();
+                    assert_eq!(st.cells[src].channel().is_parked(src_slot), vacated);
+                }
+            }
+        }
+        assert!(st.stats.successes > 0, "no handover to check");
+        t
+    }
+
+    #[test]
+    fn vacant_slots_are_parked_after_build() {
+        let st = tiny().build_state();
+        assert_parked_iff_vacant(&st);
+        let parked = st
+            .slot_owner
+            .iter()
+            .flatten()
+            .filter(|o| o.is_none())
+            .count();
+        assert_eq!(
+            parked,
+            tiny().n_cells() * tiny().slots_per_cell - tiny().n_ues
+        );
+    }
+
+    #[test]
+    fn handover_parks_the_source_slot_and_unparks_the_target() {
+        let net = tiny();
+        let mut st = net.build_state();
+        run_to_first_handover(&net, &mut st);
+    }
+
+    #[test]
+    fn resume_parks_the_restored_vacant_slots() {
+        let dir = std::env::temp_dir().join(format!("outran-net-park-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let net = tiny();
+        let mut st = net.build_state();
+        let t = run_to_first_handover(&net, &mut st);
+        let path = dir.join("park.orsn");
+        net.write_checkpoint(&st, t, &path).unwrap();
+        let (_, file) = crate::checkpoint::read_checkpoint(&path).unwrap();
+        let restored = net.restore_state(&file).unwrap();
+        assert_eq!(restored.slot_owner, st.slot_owner);
+        assert_parked_iff_vacant(&restored);
+        // Parked slots snapshot caught up, so both states write the same
+        // cell bytes.
+        for (a, b) in st.cells.iter().zip(&restored.cells) {
+            let (mut wa, mut wb) = (SnapWriter::new(), SnapWriter::new());
+            a.snap(&mut wa);
+            b.snap(&mut wb);
+            assert!(wa.into_bytes() == wb.into_bytes());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn busy_cell_keeps_a_short_catch_up_log() {
+        let net = tiny();
+        let mut st = net.build_state();
+        let (c, busy, parked) = st
+            .slot_owner
+            .iter()
+            .enumerate()
+            .find_map(|(c, slots)| {
+                let busy = slots.iter().position(|o| o.is_some())?;
+                let parked = slots.iter().position(|o| o.is_none())?;
+                Some((c, busy, parked))
+            })
+            .expect("a cell with an occupied and a vacant slot");
+        let cell = &mut st.cells[c];
+        // One flow far larger than three seconds can carry keeps the
+        // cell active on every TTI.
+        cell.schedule_flow(Time::ZERO, busy, 1 << 30, None);
+        cell.run_until(Time::from_secs(3));
+        assert!(cell.channel().is_parked(parked));
+        assert!(cell.channel().tti_index() >= 3000);
+        assert!(
+            cell.channel().park_log_len() <= 2,
+            "log holds {} runs",
+            cell.channel().park_log_len()
+        );
     }
 }

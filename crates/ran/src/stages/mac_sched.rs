@@ -96,6 +96,9 @@ impl MacSchedStage {
     /// row is rewritten only when its content version moved: a new CQI
     /// report was delivered, or the link went down/up (down rows are
     /// zeros, tagged with an odd version so they never alias live ones).
+    /// A parked slot carries no traffic, so no scheduler reads its row:
+    /// it keeps its last version and content until the slot is unparked,
+    /// when the version check refreshes it from the caught-up reports.
     pub fn refresh_rates(
         &mut self,
         cfg: &CellConfig,
@@ -120,6 +123,9 @@ impl MacSchedStage {
         rates.reserved.clear();
         rates.reserved.resize(n_rbs, false);
         for u in 0..n_ues {
+            if channel.is_parked(u) {
+                continue;
+            }
             let link_up = faults.link_up(u);
             let want = channel.report_version(u) * 2 + (!link_up) as u64;
             if rates.versions[u] == want {

@@ -333,6 +333,16 @@ impl PhyTxStage {
         self.channel.set_ue_iplusn(ue, iplusn_dbm);
     }
 
+    /// Park UE slot `ue` (see [`CellChannel::park`]).
+    pub fn park(&mut self, ue: usize) {
+        self.channel.park(ue);
+    }
+
+    /// Catch up and unpark UE slot `ue` (see [`CellChannel::unpark`]).
+    pub fn unpark(&mut self, ue: usize) {
+        self.channel.unpark(ue);
+    }
+
     /// Re-prime CQI reports after an external geometry push (see
     /// [`CellChannel::reprime_reports`]).
     pub fn reprime_reports(&mut self) {
